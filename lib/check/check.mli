@@ -47,7 +47,6 @@ val default_prove_budget : int
 val run :
   ?taint:taint_spec ->
   ?rare_threshold:float ->
-  ?prob_iters:int ->
   ?empirical:int ->
   ?prove:int ->
   ?prove_budget:int ->

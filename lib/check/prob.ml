@@ -28,192 +28,444 @@ let default_iters = 24
    different or absent literals fall back to independence.  A net with
    no stored tag acts as its own literal (a NOT gate as its operand's
    negative literal), which also buys absorption ([a OR (a AND x) = a])
-   for free. *)
+   for free.
 
-type tag = { lit : int; pos : bool; residual : float }
+   The propagation runs on a compiled form of the netlist: flat int
+   arrays of gate kind and operands, decoded once per call, and the
+   tags held unboxed in three arrays ([lit], -1 for no stored tag;
+   [pos]; [res]), so evaluating a gate allocates nothing. *)
 
-let signal_probabilities ?(iters = default_iters) nl =
+(* gate kinds; inputs, constants and registers are sources that no
+   sweep re-evaluates *)
+let k_src = -1
+let k_not = 0
+let k_and = 1
+let k_or = 2
+let k_xor = 3
+let k_mux = 4
+
+type state = {
+  kind : int array;
+  neg : bool array;  (* NAND / NOR: complement the AND / OR, drop the tag *)
+  amode : int array;
+      (* operand a read as a bare literal of polarity 0 / 1 (a mux with a
+         constant arm), or -1 for its descriptor *)
+  opa : int array;  (* first operand; a mux's [t0] *)
+  opb : int array;  (* second operand (-1 for NOT); a mux's [t1] *)
+  sel : int array;  (* general mux select, -1 otherwise *)
+  self_lit : int array;  (* the literal a net with no stored tag stands for *)
+  self_pos : bool array;
+  p : float array;
+  lit : int array;
+  pos : bool array;
+  res : float array;
+}
+
+let[@inline] clamp v = Float.max 0.0 (Float.min 1.0 v)
+
+let[@inline] plit st l q = if q then st.p.(l) else 1.0 -. st.p.(l)
+
+let[@inline] set_tag st i l q r =
+  st.lit.(i) <- l;
+  st.pos.(i) <- q;
+  st.res.(i) <- r
+
+(* One gate: the operands' descriptors (stored tag, else the net as its
+   own literal), then the AND / OR / XOR / MUX combination rules. *)
+let eval st i =
+  let p = st.p and lit = st.lit in
+  let a = st.opa.(i) in
+  let k = st.kind.(i) in
+  if k = k_not then p.(i) <- clamp (1.0 -. p.(a))
+  else begin
+    let m = st.amode.(i) in
+    let ta = if m < 0 then lit.(a) else -1 in
+    let la = if ta >= 0 then ta else if m < 0 then st.self_lit.(a) else a in
+    let qa =
+      if ta >= 0 then st.pos.(a) else if m < 0 then st.self_pos.(a) else m = 1
+    in
+    let ra = if ta >= 0 then st.res.(a) else 1.0 in
+    let pa = if m = 0 then 1.0 -. p.(a) else p.(a) in
+    let b = st.opb.(i) in
+    let tb = lit.(b) in
+    let lb = if tb >= 0 then tb else st.self_lit.(b) in
+    let qb = if tb >= 0 then st.pos.(b) else st.self_pos.(b) in
+    let rb = if tb >= 0 then st.res.(b) else 1.0 in
+    let pb = p.(b) in
+    let same = la = lb in
+    let v =
+      if k = k_and then
+        if same && qa = qb then begin
+          let r = ra *. rb in
+          set_tag st i la qa r;
+          plit st la qa *. r
+        end
+        else if same then begin
+          (* l AND x, NOT l AND y: disjoint *)
+          lit.(i) <- -1;
+          0.0
+        end
+        else begin
+          if plit st la qa <= plit st lb qb then set_tag st i la qa (ra *. pb)
+          else set_tag st i lb qb (rb *. pa);
+          pa *. pb
+        end
+      else if k = k_or then
+        if same && qa = qb then begin
+          let r = ra +. rb -. (ra *. rb) in
+          set_tag st i la qa r;
+          plit st la qa *. r
+        end
+        else begin
+          lit.(i) <- -1;
+          if same then
+            (* disjoint supports: OR is a sum *)
+            (plit st la qa *. ra) +. (plit st lb qb *. rb)
+          else 1.0 -. ((1.0 -. pa) *. (1.0 -. pb))
+        end
+      else if k = k_xor then
+        if same && qa = qb then begin
+          let r = ra +. rb -. (2.0 *. ra *. rb) in
+          set_tag st i la qa r;
+          plit st la qa *. r
+        end
+        else begin
+          lit.(i) <- -1;
+          if same then (plit st la qa *. ra) +. (plit st lb qb *. rb)
+          else (pa *. (1.0 -. pb)) +. (pb *. (1.0 -. pa))
+        end
+      else begin
+        (* general mux: a = t0, b = t1 *)
+        let s = st.sel.(i) in
+        let ps = p.(s) in
+        if same && qa = qb then
+          if la = s then
+            (* mux(s, s&x, s&y) collapses to one arm *)
+            if qa then begin
+              set_tag st i lb qb rb;
+              ps *. rb
+            end
+            else begin
+              set_tag st i la qa ra;
+              (1.0 -. ps) *. ra
+            end
+          else begin
+            let r = ((1.0 -. ps) *. ra) +. (ps *. rb) in
+            set_tag st i la qa r;
+            plit st la qa *. r
+          end
+        else begin
+          lit.(i) <- -1;
+          ((1.0 -. ps) *. pa) +. (ps *. pb)
+        end
+      end
+    in
+    if st.neg.(i) then begin
+      p.(i) <- clamp (1.0 -. v);
+      lit.(i) <- -1
+    end
+    else p.(i) <- clamp v
+  end
+
+(* Hold-mux registers [q' = mux en q new]: the register samples [new]
+   only on cycles where [en] fires, so its steady-state target is
+   [P(new | en)], not the unconditional [p new].  That distinction is
+   the sequential half of the time-multiplexing blind spot: a result
+   register's data is gated by the same step-select chain as its load
+   enable ("core busy" ORs, operand-mux selects), so the unconditional
+   probability is select-crushed by several orders of magnitude and
+   every downstream carry chain inherits the error.  No single
+   conditioning literal survives that whole path (OR-absorption plus
+   two mux levels), so [P(new | en)] is computed honestly: re-evaluate
+   the combinational logic with [en] pinned and read [new] there, once
+   per key [(en, polarity)] per round, at the key's first requesting
+   register.
+
+   Registers update in place, in evaluation order, so that conditional
+   evaluation sees the registers already updated this round.  Only the
+   nets it can change are re-evaluated: its {e cone}, the combinational
+   nets in the fan-in of the key's [new] arms that are also in the
+   fanout of [en] or of a register updated before the key's first
+   requester.  Every other net would recompute to the value the round's
+   full sweep left, so the result is the same as re-sweeping the whole
+   netlist.  The cone's entries (and [en]'s) are saved in shared scratch
+   arrays, evaluated in place and restored. *)
+
+(* registers by update rank, and the hold-mux keys *)
+type regs = {
+  dffs : int array;  (* register net *)
+  data : int array;  (* its data net *)
+  key : int array;  (* hold-mux key, -1 for a plain register *)
+  arm : int array;  (* the [new] arm the key's conditional reads *)
+  rank : int array;  (* per net: update rank, -1 if not a register *)
+  key_en : int array;
+  key_pos : bool array;
+  key_first : int array;  (* rank of the key's first requester *)
+  req_start : int array;  (* the key's requesters (ranks, in order), as CSR *)
+  req : int array;
+}
+
+(* Decode the netlist: the gate program in [st] (with constants and
+   power-on register values in [st.p]), the gates in evaluation order,
+   and the registers with their keys numbered in order of first
+   requester. *)
+let compile nl =
   let n = Netlist.n_nets nl in
-  let p = Array.make n 0.5 in
-  let tags : tag option array = Array.make n None in
-  let order = Netlist.nets_in_order nl in
-  let clamp v = Float.max 0.0 (Float.min 1.0 v) in
-  (* One combinational propagation over explicit arrays, so the same code
-     serves the main fixpoint and the conditional re-evaluations below.
-     [pin] forces one net to a value for the whole pass (its fanout sees
-     the pinned probability; its own driver is not evaluated). *)
-  let sweep ?pin p (tags : tag option array) =
-    let get x = p.(Netlist.net_index x) in
-    let plit l pos = if pos then p.(l) else 1.0 -. p.(l) in
-    (* effective descriptor: stored tag, else the net as its own literal *)
-    let desc x =
-      let i = Netlist.net_index x in
-      let t =
-        match tags.(i) with
-        | Some t -> t
-        | None -> (
-            match Netlist.driver nl x with
-            | Netlist.D_not a ->
-                { lit = Netlist.net_index a; pos = false; residual = 1.0 }
-            | _ -> { lit = i; pos = true; residual = 1.0 })
-      in
-      (p.(i), t)
-    in
-    let and_desc (pa, a) (pb, b) =
-      if a.lit = b.lit && a.pos = b.pos then
-        let r = a.residual *. b.residual in
-        (plit a.lit a.pos *. r, Some { a with residual = r })
-      else if a.lit = b.lit then (* l AND x, NOT l AND y: disjoint *)
-        (0.0, None)
-      else
-        let tag =
-          if plit a.lit a.pos <= plit b.lit b.pos then
-            { a with residual = a.residual *. pb }
-          else { b with residual = b.residual *. pa }
-        in
-        (pa *. pb, Some tag)
-    in
-    let or_desc (pa, a) (pb, b) =
-      if a.lit = b.lit && a.pos = b.pos then
-        let r = a.residual +. b.residual -. (a.residual *. b.residual) in
-        (plit a.lit a.pos *. r, Some { a with residual = r })
-      else if a.lit = b.lit then
-        (* disjoint supports: OR is a sum *)
-        ( (plit a.lit a.pos *. a.residual) +. (plit b.lit b.pos *. b.residual),
-          None )
-      else (1.0 -. ((1.0 -. pa) *. (1.0 -. pb)), None)
-    in
-    let xor_desc (pa, a) (pb, b) =
-      if a.lit = b.lit && a.pos = b.pos then
-        let r =
-          a.residual +. b.residual -. (2.0 *. a.residual *. b.residual)
-        in
-        (plit a.lit a.pos *. r, Some { a with residual = r })
-      else if a.lit = b.lit then
-        ( (plit a.lit a.pos *. a.residual) +. (plit b.lit b.pos *. b.residual),
-          None )
-      else ((pa *. (1.0 -. pb)) +. (pb *. (1.0 -. pa)), None)
-    in
-    let lit_desc x pos =
-      let px = get x in
-      ( (if pos then px else 1.0 -. px),
-        { lit = Netlist.net_index x; pos; residual = 1.0 } )
-    in
-    let mux_desc s t0 t1 =
-      match (Netlist.driver nl t0, Netlist.driver nl t1) with
-      | Netlist.D_const false, _ -> and_desc (lit_desc s true) (desc t1)
-      | _, Netlist.D_const false -> and_desc (lit_desc s false) (desc t0)
-      | Netlist.D_const true, _ -> or_desc (lit_desc s false) (desc t1)
-      | _, Netlist.D_const true -> or_desc (lit_desc s true) (desc t0)
-      | _ ->
-          let ps = get s in
-          let (p0, a) = desc t0 and (p1, b) = desc t1 in
-          if a.lit = b.lit && a.pos = b.pos then
-            if a.lit = Netlist.net_index s then
-              (* mux(s, s&x, s&y) collapses to one arm *)
-              if a.pos then
-                (ps *. b.residual, Some { b with residual = b.residual })
-              else ((1.0 -. ps) *. a.residual, Some a)
-            else
-              let r = ((1.0 -. ps) *. a.residual) +. (ps *. b.residual) in
-              (plit a.lit a.pos *. r, Some { a with residual = r })
-          else (((1.0 -. ps) *. p0) +. (ps *. p1), None)
-    in
-    let pinned i =
-      match pin with Some j -> i = j | None -> false
-    in
-    (* combinational probabilities in evaluation order, registers held *)
-    Array.iter
-      (fun net ->
-        let i = Netlist.net_index net in
-        if not (pinned i) then begin
-          let v, tag =
-            match Netlist.driver nl net with
-            | Netlist.D_input _ -> (0.5, None)
-            | Netlist.D_const b -> ((if b then 1.0 else 0.0), None)
-            | Netlist.D_dff _ -> (p.(i), None)
-            | Netlist.D_not a -> (1.0 -. get a, None)
-            | Netlist.D_and (a, b) -> and_desc (desc a) (desc b)
-            | Netlist.D_or (a, b) -> or_desc (desc a) (desc b)
-            | Netlist.D_nand (a, b) ->
-                let pv, _ = and_desc (desc a) (desc b) in
-                (1.0 -. pv, None)
-            | Netlist.D_nor (a, b) ->
-                let pv, _ = or_desc (desc a) (desc b) in
-                (1.0 -. pv, None)
-            | Netlist.D_xor (a, b) -> xor_desc (desc a) (desc b)
-            | Netlist.D_mux (s, a, b) -> mux_desc s a b
-          in
-          p.(i) <- clamp v;
-          tags.(i) <- tag
-        end)
-      order
+  let st =
+    {
+      kind = Array.make n k_src;
+      neg = Array.make n false;
+      amode = Array.make n (-1);
+      opa = Array.make n (-1);
+      opb = Array.make n (-1);
+      sel = Array.make n (-1);
+      self_lit = Array.init n Fun.id;
+      self_pos = Array.make n true;
+      p = Array.make n 0.5;
+      lit = Array.make n (-1);
+      pos = Array.make n false;
+      res = Array.make n 1.0;
+    }
   in
-  (* power-on register state *)
+  let ix = Netlist.net_index in
+  let gates = Array.make (Netlist.n_gates nl) 0 in
+  let n_gates = ref 0 in
+  let gate i k ?(neg = false) ?(amode = -1) ?(sel = -1) a b =
+    st.kind.(i) <- k;
+    st.neg.(i) <- neg;
+    st.amode.(i) <- amode;
+    st.opa.(i) <- a;
+    st.opb.(i) <- b;
+    st.sel.(i) <- sel;
+    gates.(!n_gates) <- i;
+    incr n_gates
+  in
+  let n_dffs = Netlist.n_dffs nl in
+  let dffs = Array.make n_dffs 0 and data = Array.make n_dffs 0 in
+  let key = Array.make n_dffs (-1) and arm = Array.make n_dffs (-1) in
+  let rank = Array.make n (-1) in
+  let n_seen = ref 0 in
+  let keys = Hashtbl.create 16 in
+  let firsts = ref [] in
+  let hold r en pos a =
+    key.(r) <-
+      (match Hashtbl.find_opt keys (en, pos) with
+      | Some k -> k
+      | None ->
+          let k = Hashtbl.length keys in
+          Hashtbl.add keys (en, pos) k;
+          firsts := (en, pos, r) :: !firsts;
+          k);
+    arm.(r) <- a
+  in
   Array.iter
     (fun net ->
+      let i = ix net in
       match Netlist.driver nl net with
-      | Netlist.D_dff k ->
-          p.(Netlist.net_index net) <-
-            (if Netlist.dff_init nl k then 1.0 else 0.0)
-      | _ -> ())
-    order;
-  (* Hold-mux registers [q' = mux en q new]: the register samples [new]
-     only on cycles where [en] fires, so its steady-state target is
-     [P(new | en)], not the unconditional [p new].  That distinction is
-     the sequential half of the time-multiplexing blind spot: a result
-     register's data is gated by the same step-select chain as its load
-     enable ("core busy" ORs, operand-mux selects), so the unconditional
-     probability is select-crushed by several orders of magnitude and
-     every downstream carry chain inherits the error.  No single
-     conditioning literal survives that whole path (OR-absorption plus
-     two mux levels), so [P(new | en)] is computed honestly: re-run the
-     combinational sweep on scratch arrays with [en] pinned and read
-     [new] there.  One conditional sweep per distinct enable per round. *)
-  let cond_targets = Hashtbl.create 7 in
-  let cond_prob en pos x =
-    let key = (Netlist.net_index en, pos) in
-    let pc =
-      match Hashtbl.find_opt cond_targets key with
-      | Some pc -> pc
-      | None ->
-          let pc = Array.copy p in
-          let tc = Array.copy tags in
-          let i = Netlist.net_index en in
-          pc.(i) <- (if pos then 1.0 else 0.0);
-          tc.(i) <- None;
-          sweep ~pin:i pc tc;
-          Hashtbl.add cond_targets key pc;
-          pc
-    in
-    pc.(Netlist.net_index x)
+      | Netlist.D_input _ -> ()
+      | Netlist.D_const b -> st.p.(i) <- (if b then 1.0 else 0.0)
+      | Netlist.D_dff k -> (
+          let r = !n_seen in
+          incr n_seen;
+          (* power-on register state *)
+          st.p.(i) <- (if Netlist.dff_init nl k then 1.0 else 0.0);
+          rank.(i) <- r;
+          dffs.(r) <- i;
+          let d = Netlist.dff_data nl k in
+          data.(r) <- ix d;
+          match Netlist.driver nl d with
+          | Netlist.D_mux (s, t0, t1) when ix t0 = i -> hold r (ix s) true (ix t1)
+          | Netlist.D_mux (s, t0, t1) when ix t1 = i -> hold r (ix s) false (ix t0)
+          | _ -> ())
+      | Netlist.D_not a ->
+          st.self_lit.(i) <- ix a;
+          st.self_pos.(i) <- false;
+          gate i k_not (ix a) (-1)
+      | Netlist.D_and (a, b) -> gate i k_and (ix a) (ix b)
+      | Netlist.D_or (a, b) -> gate i k_or (ix a) (ix b)
+      | Netlist.D_nand (a, b) -> gate i k_and ~neg:true (ix a) (ix b)
+      | Netlist.D_nor (a, b) -> gate i k_or ~neg:true (ix a) (ix b)
+      | Netlist.D_xor (a, b) -> gate i k_xor (ix a) (ix b)
+      | Netlist.D_mux (s, t0, t1) -> (
+          (* a constant arm makes the mux an AND / OR with the select as
+             a bare literal *)
+          match (Netlist.driver nl t0, Netlist.driver nl t1) with
+          | Netlist.D_const false, _ -> gate i k_and ~amode:1 (ix s) (ix t1)
+          | _, Netlist.D_const false -> gate i k_and ~amode:0 (ix s) (ix t0)
+          | Netlist.D_const true, _ -> gate i k_or ~amode:0 (ix s) (ix t1)
+          | _, Netlist.D_const true -> gate i k_or ~amode:1 (ix s) (ix t0)
+          | _ -> gate i k_mux ~sel:(ix s) (ix t0) (ix t1)))
+    (Netlist.nets_in_order nl);
+  let firsts = Array.of_list (List.rev !firsts) in
+  let n_keys = Array.length firsts in
+  let req_start = Array.make (n_keys + 1) 0 in
+  Array.iter (fun k -> if k >= 0 then req_start.(k + 1) <- req_start.(k + 1) + 1) key;
+  for k = 0 to n_keys - 1 do
+    req_start.(k + 1) <- req_start.(k + 1) + req_start.(k)
+  done;
+  let req = Array.make req_start.(n_keys) 0 in
+  let fill = Array.sub req_start 0 n_keys in
+  Array.iteri
+    (fun r k ->
+      if k >= 0 then begin
+        req.(fill.(k)) <- r;
+        fill.(k) <- fill.(k) + 1
+      end)
+    key;
+  let regs =
+    {
+      dffs;
+      data;
+      key;
+      arm;
+      rank;
+      key_en = Array.map (fun (en, _, _) -> en) firsts;
+      key_pos = Array.map (fun (_, pos, _) -> pos) firsts;
+      key_first = Array.map (fun (_, _, r) -> r) firsts;
+      req_start;
+      req;
+    }
   in
+  (st, Array.sub gates 0 !n_gates, regs)
+
+(* Every key's cone, as CSR [(cone_start, cone)], operands first.  A
+   post-order walk of the arms' combinational fan-in (not through [en])
+   lists the fan-in operands-first; one pass over that list keeps the
+   gates that read [en], an earlier-updated register or a kept gate.
+   [mark] holds [2 key] once a gate is visited for [key] and
+   [2 key + 1] once it is kept. *)
+let cones st ~n_gates regs =
+  let n_keys = Array.length regs.key_en in
+  let mark = Array.make (Array.length st.p) (-1) in
+  let stack = Array.make (max 1 n_gates) 0 in
+  let child = Array.make (max 1 n_gates) 0 in
+  let walk = Array.make (max 1 n_gates) 0 in
+  let cone_start = Array.make (n_keys + 1) 0 in
+  let cone = ref (Array.make (max 16 n_gates) 0) in
+  let cone_len = ref 0 in
+  let operand i c =
+    if c = 0 then st.opa.(i) else if c = 1 then st.opb.(i) else st.sel.(i)
+  in
+  for key = 0 to n_keys - 1 do
+    let en = regs.key_en.(key) and first = regs.key_first.(key) in
+    let visited = 2 * key and kept = (2 * key) + 1 in
+    let n_walk = ref 0 and sp = ref 0 in
+    let visit g =
+      if g >= 0 && st.kind.(g) <> k_src && g <> en && mark.(g) < visited
+      then begin
+        mark.(g) <- visited;
+        stack.(!sp) <- g;
+        child.(!sp) <- 0;
+        incr sp
+      end
+    in
+    for j = regs.req_start.(key) to regs.req_start.(key + 1) - 1 do
+      visit regs.arm.(regs.req.(j));
+      while !sp > 0 do
+        let top = !sp - 1 in
+        let g = stack.(top) and c = child.(top) in
+        if c < 3 then begin
+          child.(top) <- c + 1;
+          visit (operand g c)
+        end
+        else begin
+          sp := top;
+          walk.(!n_walk) <- g;
+          incr n_walk
+        end
+      done
+    done;
+    let changed o =
+      o >= 0
+      && (o = en
+         || (regs.rank.(o) >= 0 && regs.rank.(o) < first)
+         || mark.(o) = kept)
+    in
+    for j = 0 to !n_walk - 1 do
+      let g = walk.(j) in
+      if changed st.opa.(g) || changed st.opb.(g) || changed st.sel.(g) then begin
+        mark.(g) <- kept;
+        if !cone_len = Array.length !cone then begin
+          let grown = Array.make (2 * !cone_len) 0 in
+          Array.blit !cone 0 grown 0 !cone_len;
+          cone := grown
+        end;
+        !cone.(!cone_len) <- g;
+        incr cone_len
+      end
+    done;
+    cone_start.(key + 1) <- !cone_len
+  done;
+  (cone_start, !cone)
+
+let signal_probabilities ?(iters = default_iters) nl =
+  let st, gates, regs = compile nl in
+  let cone_start, cone = cones st ~n_gates:(Array.length gates) regs in
+  (* scratch for one conditional evaluation: [en] at 0, then the cone *)
+  let widest = ref 0 in
+  for key = 0 to Array.length regs.key_en - 1 do
+    widest := max !widest (cone_start.(key + 1) - cone_start.(key))
+  done;
+  let save_p = Array.make (!widest + 1) 0.0 in
+  let save_lit = Array.make (!widest + 1) (-1) in
+  let save_pos = Array.make (!widest + 1) false in
+  let save_res = Array.make (!widest + 1) 0.0 in
+  let save j i =
+    save_p.(j) <- st.p.(i);
+    save_lit.(j) <- st.lit.(i);
+    save_pos.(j) <- st.pos.(i);
+    save_res.(j) <- st.res.(i)
+  in
+  let restore j i =
+    st.p.(i) <- save_p.(j);
+    st.lit.(i) <- save_lit.(j);
+    st.pos.(i) <- save_pos.(j);
+    st.res.(i) <- save_res.(j)
+  in
+  let n_dffs = Array.length regs.dffs in
+  let target = Array.make n_dffs 0.0 in
+  let conditional key =
+    let en = regs.key_en.(key) in
+    let lo = cone_start.(key) and hi = cone_start.(key + 1) in
+    save 0 en;
+    for j = lo to hi - 1 do
+      save (j - lo + 1) cone.(j)
+    done;
+    st.p.(en) <- (if regs.key_pos.(key) then 1.0 else 0.0);
+    st.lit.(en) <- -1;
+    for j = lo to hi - 1 do
+      eval st cone.(j)
+    done;
+    for j = regs.req_start.(key) to regs.req_start.(key + 1) - 1 do
+      let r = regs.req.(j) in
+      target.(r) <- st.p.(regs.arm.(r))
+    done;
+    for j = lo to hi - 1 do
+      restore (j - lo + 1) cone.(j)
+    done;
+    restore 0 en
+  in
+  let sweep () =
+    for j = 0 to Array.length gates - 1 do
+      eval st gates.(j)
+    done
+  in
+  let p = st.p in
   for _round = 1 to iters do
-    sweep p tags;
-    Hashtbl.reset cond_targets;
+    sweep ();
     (* damped register update: p' = (p + target) / 2.  Plain assignment
        oscillates on toggling state (a counter's low bit alternates 0,1);
        averaging converges it to the 0.5 a long-run observer sees. *)
-    Array.iter
-      (fun net ->
-        match Netlist.driver nl net with
-        | Netlist.D_dff k ->
-            let i = Netlist.net_index net in
-            let data = Netlist.dff_data nl k in
-            let target =
-              match Netlist.driver nl data with
-              | Netlist.D_mux (s, t0, t1) when Netlist.net_index t0 = i ->
-                  cond_prob s true t1
-              | Netlist.D_mux (s, t0, t1) when Netlist.net_index t1 = i ->
-                  cond_prob s false t0
-              | _ -> p.(Netlist.net_index data)
-            in
-            p.(i) <- 0.5 *. (p.(i) +. target)
-        | _ -> ())
-      order
+    for r = 0 to n_dffs - 1 do
+      let key = regs.key.(r) in
+      if key >= 0 && regs.key_first.(key) = r then conditional key;
+      let i = regs.dffs.(r) in
+      let t = if key >= 0 then target.(r) else p.(regs.data.(r)) in
+      p.(i) <- 0.5 *. (p.(i) +. t)
+    done
   done;
   (* settle gate probabilities on the final register values *)
-  sweep p tags;
+  sweep ();
   p
 
 (* Monte-Carlo cross-check of the analytic model above: simulate random
@@ -316,8 +568,8 @@ let empirical ?(cycles = 8) ?(jobs = 1) ~seed ~vectors nl =
   let samples = float_of_int (vectors * cycles) in
   Array.map (fun c -> float_of_int c /. samples) counts
 
-let analyse ?iters ?(threshold = default_threshold) ?exclude nl =
-  let p = signal_probabilities ?iters nl in
+let analyse ?(threshold = default_threshold) ?exclude nl =
+  let p = signal_probabilities nl in
   let cv = Lint.const_values nl in
   let excluded i =
     match exclude with Some m -> m.(i) | None -> false

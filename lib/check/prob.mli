@@ -17,9 +17,10 @@
 
     Registers get the sequential half of the same treatment: a hold-mux
     register [q' = mux en q new] samples [new] only when [en] fires, so
-    its steady-state target is [P(new | en)] — computed by re-running
-    the combinational sweep with [en] pinned to its loading value — not
-    the select-crushed unconditional probability of [new].
+    its steady-state target is [P(new | en)] — computed by
+    re-evaluating, with [en] pinned to its loading value, the part of
+    the combinational logic that pinning [en] can change below [new] —
+    not the select-crushed unconditional probability of [new].
 
     A net's {e activation probability} is [min p (1 - p)] — how often
     the net leaves its resting value.  Nets whose activation is positive
@@ -45,7 +46,9 @@ val default_iters : int
 
 val signal_probabilities : ?iters:int -> Thr_gates.Netlist.t -> float array
 (** Per-net probability of being 1 (indexed by
-    {!Thr_gates.Netlist.net_index}).  Requires a finalised netlist. *)
+    {!Thr_gates.Netlist.net_index}) after [iters] (default
+    {!default_iters}) damped register rounds.  Requires a finalised
+    netlist. *)
 
 val empirical :
   ?cycles:int ->
@@ -71,7 +74,6 @@ val empirical :
     @raise Invalid_argument if [vectors < 1] or [cycles < 1]. *)
 
 val analyse :
-  ?iters:int ->
   ?threshold:float ->
   ?exclude:bool array ->
   Thr_gates.Netlist.t ->

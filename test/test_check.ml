@@ -285,6 +285,209 @@ let test_elab_assertion_catches_bypass () =
   Alcotest.(check bool) "assertion condition trips" true
     (List.exists (fun f -> f.Finding.severity = Finding.Error) fs)
 
+(* ------------------------ rare-net oracle ------------------------- *)
+
+(* [Prob] must reproduce [Prob_reference], the uncompiled propagation it
+   replaced, bit for bit: same float in every net, same findings. *)
+let check_bit_equal what oracle probs =
+  Alcotest.(check int) (what ^ ": net count") (Array.length oracle)
+    (Array.length probs);
+  Array.iteri
+    (fun i o ->
+      if not (Float.equal o probs.(i)) then
+        Alcotest.failf "%s: net %d: oracle %h, compiled %h" what i o probs.(i))
+    oracle
+
+let finding_fields fs =
+  List.map
+    (fun f ->
+      Printf.sprintf "%s %s %s: %s" f.Finding.rule
+        (Option.fold ~none:"-" ~some:string_of_int f.Finding.net)
+        (Finding.severity_name f.Finding.severity)
+        f.Finding.detail)
+    fs
+
+(* The design a {"op":"lint"} request elaborates: the DFG's wire text,
+   the eight-vendor catalogue, detection and recovery, the default
+   latency and area, the licence search. *)
+let lint_design name =
+  let text =
+    Thr_dfg.Parse.to_string (Option.get (Thr_benchmarks.Suite.find name))
+  in
+  let dfg =
+    match Thr_dfg.Parse.of_string text with
+    | Ok dfg -> dfg
+    | Error _ -> Alcotest.fail ("wire text of " ^ name ^ " does not parse")
+  in
+  let spec =
+    Spec.make ~mode:Spec.Detection_and_recovery ~dfg
+      ~catalog:Thr_iplib.Catalog.eight_vendors
+      ~latency_detect:(Thr_dfg.Dfg.critical_path dfg + 1)
+      ~area_limit:(10 * 7000 * Thr_dfg.Dfg.n_ops dfg)
+      ()
+  in
+  match Trojan_hls.Optimize.run ~jobs:1 spec with
+  | Ok { Trojan_hls.Optimize.design; _ } -> design
+  | Error _ -> Alcotest.fail ("no design for " ^ name)
+
+let lint_mutants =
+  [
+    ("none", fun ~width:_ _ -> []);
+    ("trojan", fun ~width d -> [ Rtl.canned_injection ~width d ]);
+    ("trojan-seq", fun ~width d -> [ Rtl.canned_sequential_injection ~width d ]);
+    ("trojan-dud", fun ~width d -> [ Rtl.canned_dud_injection ~width d ]);
+  ]
+
+let test_rare_oracle ~width name () =
+  let design = lint_design name in
+  List.iter
+    (fun (mutant, injections) ->
+      let what = Printf.sprintf "%s/%d/%s" name width mutant in
+      let rtl =
+        Rtl.elaborate ~width ~injections:(injections ~width design) design
+      in
+      let nl = rtl.Rtl.netlist in
+      let exclude =
+        Netlist.in_cone nl ~through_dffs:false
+          ~roots:[ (Rtl.taint_spec rtl).Check.mismatch ]
+          ()
+      in
+      let fs, probs = Prob.analyse ~exclude nl in
+      let oracle_fs, oracle = Prob_reference.analyse ~exclude nl in
+      check_bit_equal what oracle probs;
+      Alcotest.(check (list string))
+        (what ^ ": findings") (finding_fields oracle_fs) (finding_fields fs))
+    lint_mutants
+
+(* Random sequential netlists built around the hold-mux idiom
+   [q' = mux en q new]: a few enables shared by several registers,
+   enables driven by NOT gates, registers, constants and plain gates,
+   registers loading another register (DFF -> DFF chains), constant mux
+   arms both inside the logic and as a register's [new]. *)
+type hold_plan = {
+  n_inputs : int;
+  inits : bool list;  (* one register each *)
+  gates : (int * int * int * int) list;  (* kind, operand picks *)
+  enables : (int * int) list;  (* driver kind, pick *)
+  regs : (int * int * int) list;  (* shape, enable pick, arm pick *)
+}
+
+let hold_plan_gen =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun n_regs ->
+    map
+      (fun ((n_inputs, inits), (gates, enables, regs)) ->
+        { n_inputs; inits; gates; enables; regs })
+      (pair
+         (pair (int_range 1 4) (list_repeat n_regs bool))
+         (triple
+            (list_size (int_range 1 30)
+               (quad (int_bound 7) nat nat nat))
+            (list_size (int_range 1 3) (pair (int_bound 3) nat))
+            (list_repeat n_regs (triple (int_bound 3) nat nat)))))
+
+let print_hold_plan p =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "inputs %d inits [%s] gates [%s] enables [%s] regs [%s]"
+    p.n_inputs
+    (String.concat "," (List.map string_of_bool p.inits))
+    (String.concat ";" (List.map (fun (k, a, b, c) -> ints [ k; a; b; c ]) p.gates))
+    (String.concat ";" (List.map (fun (k, a) -> ints [ k; a ]) p.enables))
+    (String.concat ";" (List.map (fun (k, a, b) -> ints [ k; a; b ]) p.regs))
+
+let hold_netlist p =
+  let nl = Netlist.create ~name:"hold" in
+  let ins =
+    List.init p.n_inputs (fun k -> Netlist.input nl (Printf.sprintf "i%d" k))
+  in
+  let c0 = Netlist.const nl false and c1 = Netlist.const nl true in
+  let const x = if x mod 2 = 0 then c0 else c1 in
+  let regs = Array.of_list p.regs in
+  let qs =
+    Netlist.dff_loop_many nl ~inits:(Array.of_list p.inits) (fun qs ->
+        let sources = Array.of_list (ins @ Array.to_list qs @ [ c0; c1 ]) in
+        let pool = ref sources in
+        let pick x = !pool.(x mod Array.length !pool) in
+        (* a gate, when there is one: enables and arms that are gates
+           carry stored conditioning tags into the arms' cones; an
+           [older] gate (first half) has later gates reading it *)
+        let pick_gate ?(older = false) x =
+          let n_gates = Array.length !pool - Array.length sources in
+          let n_gates = if older then (n_gates + 1) / 2 else n_gates in
+          if n_gates = 0 then pick x
+          else !pool.(Array.length sources + (x mod n_gates))
+        in
+        (* gate operands lean to the newest nets, so cones reconverge
+           and literals meet *)
+        let operand x =
+          let n = Array.length !pool in
+          if x mod 2 = 0 then !pool.(n - 1 - (x / 2 mod min n 4)) else pick x
+        in
+        List.iter
+          (fun (kind, x, y, z) ->
+            let a = operand x and b = operand y and s = operand z in
+            let g =
+              match kind with
+              | 0 -> Netlist.not_ nl a
+              | 1 -> Netlist.and_ nl a b
+              | 2 -> Netlist.or_ nl a b
+              | 3 -> Netlist.xor_ nl a b
+              | 4 -> Netlist.nand_ nl a b
+              | 5 -> Netlist.nor_ nl a b
+              | 6 -> Netlist.mux nl ~sel:s ~t0:a ~t1:b
+              | _ ->
+                  if y mod 2 = 0 then Netlist.mux nl ~sel:s ~t0:(const x) ~t1:b
+                  else Netlist.mux nl ~sel:s ~t0:a ~t1:(const x)
+            in
+            pool := Array.append !pool [| g |])
+          p.gates;
+        let enables =
+          Array.of_list
+            (List.map
+               (fun (kind, x) ->
+                 match kind with
+                 | 0 -> Netlist.not_ nl (pick x)
+                 | 1 -> qs.(x mod Array.length qs)
+                 | 2 -> const x
+                 | _ -> pick_gate ~older:true x)
+               p.enables)
+        in
+        Array.mapi
+          (fun r q ->
+            let shape, e, x = regs.(r) in
+            let en = enables.(e mod Array.length enables) in
+            let arm =
+              match x mod 4 with
+              | 0 -> qs.(x / 4 mod Array.length qs)
+              | 1 -> pick x
+              | _ -> pick_gate x
+            in
+            match shape with
+            | 0 -> Netlist.mux nl ~sel:en ~t0:q ~t1:arm
+            | 1 -> Netlist.mux nl ~sel:en ~t0:arm ~t1:q
+            | 2 -> Netlist.mux nl ~sel:en ~t0:q ~t1:(const x)
+            | _ -> arm)
+          qs)
+  in
+  Array.iteri (fun r q -> Netlist.output nl (Printf.sprintf "q%d" r) q) qs;
+  Netlist.finalise nl;
+  nl
+
+let hold_mux_matches_oracle =
+  QCheck.Test.make ~name:"hold-mux netlists match the oracle (iters 1, 2, 24)"
+    ~count:1000
+    (QCheck.make ~print:print_hold_plan hold_plan_gen)
+    (fun plan ->
+      let nl = hold_netlist plan in
+      List.for_all
+        (fun iters ->
+          let oracle = Prob_reference.signal_probabilities ~iters nl in
+          let probs = Prob.signal_probabilities ~iters nl in
+          Array.length oracle = Array.length probs
+          && Array.for_all2 Float.equal oracle probs
+          || QCheck.Test.fail_reportf "iters %d: probabilities differ" iters)
+        [ 1; 2; 24 ])
+
 (* ------------------------------ prove ----------------------------- *)
 
 let prove_stats report =
@@ -433,7 +636,25 @@ let () =
           Alcotest.test_case "probability model" `Quick test_prob_model;
           Alcotest.test_case "counter converges" `Quick test_prob_counter_converges;
           Alcotest.test_case "flags seeded trojans" `Quick test_rare_flags_seeded_trojans;
-        ] );
+          QCheck_alcotest.to_alcotest hold_mux_matches_oracle;
+        ]
+        @ List.map
+            (fun (name, width, speed) ->
+              Alcotest.test_case
+                (Printf.sprintf "oracle: %s width %d" name width)
+                speed
+                (test_rare_oracle ~width name))
+            [
+              ("motivational", 8, `Quick);
+              ("polynom", 8, `Quick);
+              ("diff2", 8, `Quick);
+              ("dtmf", 8, `Slow);
+              ("mof2", 8, `Slow);
+              ("elliptic", 8, `Slow);
+              ("fir16", 8, `Slow);
+              ("motivational", 16, `Slow);
+              ("polynom", 16, `Slow);
+            ] );
       ( "elaborations",
         [
           Alcotest.test_case "clean designs are clean" `Quick
