@@ -144,12 +144,6 @@ let vendor_of t net =
   in
   go t.vendor_regions
 
-(* THLS_ELAB_CHECK=0 disables the post-elaboration taint assertion *)
-let elab_check_enabled () =
-  match Sys.getenv_opt "THLS_ELAB_CHECK" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | _ -> true
-
 let elaborate ?(width = 16) ?(injections = []) ?(gated_injections = [])
     ?seeded_bug design =
   if width < 6 then invalid_arg "Rtl.elaborate: width must be at least 6";
@@ -383,23 +377,20 @@ let elaborate ?(width = 16) ?(injections = []) ?(gated_injections = [])
   (match seeded_bug with
   | Some _ -> ()
   | None ->
-      if elab_check_enabled () then
-        Thr_obs.Trace.with_span "rtl.elab_check" (fun () ->
-            let findings, _ =
-              Taint.analyse ~vendor_of:(vendor_of t) ~mismatch ~min_vendors:2
-                nl
-            in
-            match
-              List.filter
-                (fun f -> f.Finding.severity = Finding.Error)
-                findings
-            with
-            | [] -> ()
-            | f :: _ ->
-                failwith
-                  (Printf.sprintf
-                     "Rtl.elaborate: internal taint check failed: %s"
-                     f.Finding.detail)));
+      Thr_obs.Trace.with_span "rtl.elab_check" (fun () ->
+          let findings, _ =
+            Taint.analyse ~vendor_of:(vendor_of t) ~mismatch ~min_vendors:2 nl
+          in
+          match
+            List.filter
+              (fun f -> f.Finding.severity = Finding.Error)
+              findings
+          with
+          | [] -> ()
+          | f :: _ ->
+              failwith
+                (Printf.sprintf "Rtl.elaborate: internal taint check failed: %s"
+                   f.Finding.detail)));
   t
 
 let taint_spec t =

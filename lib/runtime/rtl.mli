@@ -63,10 +63,9 @@ val elaborate :
     lets {!run_mutant_batch} score the golden design and one armed
     mutant per simulation lane in a single pass.
 
-    Unless [seeded_bug] is given (or [THLS_ELAB_CHECK=0] is set in the
-    environment), the elaborated netlist is re-verified with the
-    {!Thr_check.Taint} pass: every primary output must be dominated by
-    the mismatch comparator.
+    Unless [seeded_bug] is given, the elaborated netlist is re-verified
+    with the {!Thr_check.Taint} pass: every primary output must be
+    dominated by the mismatch comparator.
 
     @raise Invalid_argument if the design is invalid, an injection's
     trigger patterns/mask or payload mask do not fit in [width] bits, or

@@ -488,6 +488,225 @@ let hold_mux_matches_oracle =
           || QCheck.Test.fail_reportf "iters %d: probabilities differ" iters)
         [ 1; 2; 24 ])
 
+(* ------------------------- taint oracle --------------------------- *)
+
+(* [Taint] must reproduce [Taint_reference], the list-label pass with a
+   per-output cone walk it replaced: equal labels on every net, equal
+   findings. *)
+
+(* Random register-feedback netlists.  Vendor ids are sparse; regions
+   are contiguous runs of net indices plus scattered single nets (so a
+   vendor can own several disjoint regions), or, in the [many] mode,
+   one of 64-130 vendors on nearly every net (multi-word labels).  The
+   [mismatch] net is random; guard gates read it, and registers may
+   load them, so some outputs are guarded through DFFs.  Outputs are
+   picked to be observed (in [mismatch]'s cone), guarded (a guard gate)
+   or arbitrary. *)
+type taint_plan = {
+  t_inputs : int;
+  t_inits : bool list;  (* one register each *)
+  t_gates : (int * int * int * int) list;  (* kind, operand picks *)
+  t_mismatch : int;
+  t_guards : (int * int) list;  (* kind, operand pick *)
+  t_nexts : int list;  (* register next-state picks *)
+  t_many : bool;
+  t_ids : int list;  (* vendor id pool (sparse) *)
+  t_regions : (int * int * int) list;  (* start, length, vendor pick *)
+  t_scatter : (int * int) list;  (* net pick, vendor pick *)
+  t_outputs : (int * int) list;  (* kind, pick *)
+  t_min_vendors : int;
+}
+
+let taint_plan_gen =
+  QCheck.Gen.(
+    bool >>= fun many ->
+    int_range 1 8 >>= fun n_regs ->
+    (if many then int_range 64 130 else int_range 1 6) >>= fun n_ids ->
+    let gates =
+      list_size
+        (if many then int_range 140 200 else int_range 1 40)
+        (quad (int_bound 6) nat nat nat)
+    in
+    map
+      (fun (((t_inputs, t_inits, t_mismatch), (t_gates, t_guards, t_nexts)),
+            ((t_ids, t_regions, t_scatter), (t_outputs, t_min_vendors))) ->
+        { t_inputs; t_inits; t_gates; t_mismatch; t_guards; t_nexts;
+          t_many = many; t_ids; t_regions; t_scatter; t_outputs;
+          t_min_vendors })
+      (pair
+         (pair
+            (triple (int_range 1 4) (list_repeat n_regs bool) nat)
+            (triple gates
+               (list_size (int_range 0 4) (pair (int_bound 2) nat))
+               (list_repeat n_regs nat)))
+         (pair
+            (triple
+               (list_repeat n_ids (int_range (-1000) 1_000_000))
+               (list_size (int_range 0 5) (triple nat (int_range 1 30) nat))
+               (list_size (int_range 0 8) (pair nat nat)))
+            (pair
+               (list_size (int_range 1 8) (pair (int_bound 2) nat))
+               (int_range 1 4)))))
+
+let print_taint_plan p =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf
+    "inputs %d inits [%s] gates [%s] mismatch %d guards [%s] nexts [%s] \
+     many %b ids [%s] regions [%s] scatter [%s] outputs [%s] min_vendors %d"
+    p.t_inputs
+    (String.concat "," (List.map string_of_bool p.t_inits))
+    (String.concat ";" (List.map (fun (k, a, b, c) -> ints [ k; a; b; c ]) p.t_gates))
+    p.t_mismatch
+    (String.concat ";" (List.map (fun (k, a) -> ints [ k; a ]) p.t_guards))
+    (ints p.t_nexts) p.t_many (ints p.t_ids)
+    (String.concat ";" (List.map (fun (a, b, c) -> ints [ a; b; c ]) p.t_regions))
+    (String.concat ";" (List.map (fun (a, b) -> ints [ a; b ]) p.t_scatter))
+    (String.concat ";" (List.map (fun (a, b) -> ints [ a; b ]) p.t_outputs))
+    p.t_min_vendors
+
+(* the netlist, its [vendor_of] and its [mismatch] net *)
+let taint_netlist p =
+  let nl = Netlist.create ~name:"taint" in
+  let ins =
+    List.init p.t_inputs (fun k -> Netlist.input nl (Printf.sprintf "i%d" k))
+  in
+  let c0 = Netlist.const nl false and c1 = Netlist.const nl true in
+  let mismatch = ref c0 and guards = ref [||] and pool = ref [||] in
+  let _qs =
+    Netlist.dff_loop_many nl ~inits:(Array.of_list p.t_inits) (fun qs ->
+        pool := Array.of_list (ins @ Array.to_list qs @ [ c0; c1 ]);
+        let pick x = !pool.(x mod Array.length !pool) in
+        List.iter
+          (fun (kind, x, y, z) ->
+            let a = pick x and b = pick y and s = pick z in
+            let g =
+              match kind with
+              | 0 -> Netlist.not_ nl a
+              | 1 -> Netlist.and_ nl a b
+              | 2 -> Netlist.or_ nl a b
+              | 3 -> Netlist.xor_ nl a b
+              | 4 -> Netlist.nand_ nl a b
+              | 5 -> Netlist.nor_ nl a b
+              | _ -> Netlist.mux nl ~sel:s ~t0:a ~t1:b
+            in
+            pool := Array.append !pool [| g |])
+          p.t_gates;
+        mismatch := pick p.t_mismatch;
+        guards :=
+          Array.of_list
+            (List.map
+               (fun (kind, x) ->
+                 let a = pick x in
+                 match kind with
+                 | 0 -> Netlist.xor_ nl !mismatch a
+                 | 1 -> Netlist.mux nl ~sel:!mismatch ~t0:a ~t1:c0
+                 | _ -> Netlist.not_ nl !mismatch)
+               p.t_guards);
+        pool := Array.append !pool !guards;
+        Array.of_list (List.map pick p.t_nexts))
+  in
+  let pick x = !pool.(x mod Array.length !pool) in
+  let observed =
+    let cone = Netlist.in_cone nl ~roots:[ !mismatch ] () in
+    Array.of_list (List.filter (fun x -> cone.(Netlist.net_index x)) (Array.to_list !pool))
+  in
+  List.iteri
+    (fun k (kind, x) ->
+      let net =
+        match kind with
+        | 0 when Array.length observed > 0 -> observed.(x mod Array.length observed)
+        | 1 when Array.length !guards > 0 -> !guards.(x mod Array.length !guards)
+        | _ -> pick x
+      in
+      Netlist.output nl (Printf.sprintf "o%d" k) net)
+    p.t_outputs;
+  Netlist.finalise nl;
+  let n = Netlist.n_nets nl in
+  let ids = Array.of_list p.t_ids in
+  let id x = ids.(x mod Array.length ids) in
+  let vendor = Array.make n None in
+  if p.t_many then
+    (* every vendor on some net when there are enough nets; net 0 of
+       every 11 stays untainted *)
+    Array.iteri
+      (fun i _ -> if i mod 11 <> 0 then vendor.(i) <- Some (id (i * 7)))
+      vendor
+  else begin
+    List.iter
+      (fun (start, len, v) ->
+        for i = start mod n to min (n - 1) ((start mod n) + len - 1) do
+          vendor.(i) <- Some (id v)
+        done)
+      p.t_regions;
+    List.iter (fun (x, v) -> vendor.(x mod n) <- Some (id v)) p.t_scatter
+  end;
+  (nl, (fun net -> vendor.(Netlist.net_index net)), !mismatch)
+
+let taint_matches_oracle =
+  QCheck.Test.make ~name:"random register-feedback netlists match the oracle"
+    ~count:1000
+    (QCheck.make ~print:print_taint_plan taint_plan_gen)
+    (fun p ->
+      let nl, vendor_of, mismatch = taint_netlist p in
+      let min_vendors = p.t_min_vendors in
+      (Taint.propagate ~vendor_of nl = Taint_reference.propagate ~vendor_of nl
+      || QCheck.Test.fail_report "propagate: labels differ")
+      && (Taint.analyse ~vendor_of ~mismatch ~min_vendors nl
+          = Taint_reference.analyse ~vendor_of ~mismatch ~min_vendors nl
+         || QCheck.Test.fail_report "analyse: findings or labels differ"))
+
+let check_taint_oracle what rtl =
+  let nl = rtl.Rtl.netlist in
+  let { Check.vendor_of; mismatch; min_vendors } = Rtl.taint_spec rtl in
+  let fs, labels = Taint.analyse ~vendor_of ~mismatch ~min_vendors nl in
+  let oracle_fs, oracle = Taint_reference.analyse ~vendor_of ~mismatch ~min_vendors nl in
+  Alcotest.(check (array (list int))) (what ^ ": labels") oracle labels;
+  Alcotest.(check (list string))
+    (what ^ ": findings") (finding_fields oracle_fs) (finding_fields fs);
+  Alcotest.(check bool) (what ^ ": findings equal") true (oracle_fs = fs)
+
+(* The fault-simulation elaboration: the {!Trojan.zoo} as gated
+   injections on the NC copy of the first output, as
+   [Campaign.cosim_mutants] builds it. *)
+let zoo_injections ~width design =
+  let spec = design.Design.spec in
+  let op = List.hd (Thr_dfg.Dfg.outputs spec.Spec.dfg) in
+  let nc = Copy.index spec { Copy.op; phase = Copy.NC } in
+  let mask = (1 lsl width) - 1 in
+  List.map
+    (fun (nm, trojan) ->
+      ( "mut_" ^ nm,
+        {
+          Engine.inj_vendor = Binding.vendor design.Design.binding nc;
+          inj_type = Spec.iptype_of_op spec op;
+          trojan;
+        } ))
+    (Trojan.zoo ~a_pattern:(0x35 land mask) ~b_pattern:(0xCA land mask) ~mask)
+
+let test_taint_oracle name () =
+  let design = lint_design name in
+  List.iter
+    (fun width ->
+      let what kind = Printf.sprintf "%s/%d/%s" name width kind in
+      check_taint_oracle (what "clean") (Rtl.elaborate ~width design);
+      check_taint_oracle (what "trojan")
+        (Rtl.elaborate ~width ~injections:[ Rtl.canned_injection ~width design ]
+           design);
+      check_taint_oracle (what "zoo")
+        (Rtl.elaborate ~width
+           ~gated_injections:(zoo_injections ~width design)
+           design);
+      check_taint_oracle (what "bypass")
+        (Rtl.elaborate ~width ~seeded_bug:Rtl.Comparator_skip design))
+    [ 8; 16 ]
+
+(* the netlist behind `thls lint motivational --catalog table1 --latency 4
+   --latency-recover 3 --area 40000 --mutant bypass` *)
+let test_taint_oracle_lint_bypass () =
+  let design = design_for "motivational" Thr_iplib.Catalog.table1 4 3 40_000 in
+  let rtl = Rtl.elaborate ~width:16 ~seeded_bug:Rtl.Comparator_skip design in
+  check_taint_oracle "lint --mutant bypass" rtl
+
 (* ------------------------------ prove ----------------------------- *)
 
 let prove_stats report =
@@ -630,7 +849,15 @@ let () =
           Alcotest.test_case "propagation" `Quick test_taint_propagation;
           Alcotest.test_case "unguarded output" `Quick test_taint_unguarded_output;
           Alcotest.test_case "diversity" `Quick test_taint_diversity;
-        ] );
+          QCheck_alcotest.to_alcotest taint_matches_oracle;
+          Alcotest.test_case "oracle: lint --mutant bypass" `Quick
+            test_taint_oracle_lint_bypass;
+        ]
+        @ List.map
+            (fun name ->
+              Alcotest.test_case ("oracle: " ^ name) `Quick
+                (test_taint_oracle name))
+            [ "motivational"; "polynom"; "diff2"; "dtmf"; "mof2"; "elliptic"; "fir16" ] );
       ( "rare",
         [
           Alcotest.test_case "probability model" `Quick test_prob_model;
