@@ -500,54 +500,24 @@ let sim_netlists () =
 type sim_row = {
   sim_bench : string;
   sim_nets : int;
-  sim_mode : string;      (** scalar | packed | strips | incremental | fault-packed *)
-  sim_activity : float;   (** input toggle probability of the stimulus *)
+  sim_mode : string;      (** scalar | strips *)
   sim_vps : float;        (** vectors/s, one domain *)
 }
 
 let strip_words = 8
 
-(* Bit-identity of every engine/mode before timing anything, including
-   the concurrent-fault path (mutant lanes vs per-mutant scalar runs —
-   the line below is what CI greps for in the cosim smoke). *)
+(* Bit-identity of the strip engine, single-domain and sharded, against
+   the scalar oracle before timing anything. *)
 let sim_verify name nl =
-  let cycles = 4 in
   let prng = T.Prng.create ~seed:42 in
-  let check = P.batch ~prng ~cycles 200 in
-  let lazy_check = P.batch ~prng ~cycles ~activity:0.2 200 in
+  let check = P.batch ~prng ~cycles:4 200 in
   let oracle = P.run_reference nl check in
-  assert (P.equal_outputs (P.run (P.create nl) check) oracle);
-  assert (P.equal_outputs (P.run_sharded ~jobs:(max 2 !jobs) nl check) oracle);
   assert (P.equal_outputs (P.run_strips ~words:strip_words nl check) oracle);
-  assert (
-    P.equal_outputs
-      (P.run_strips ~words:strip_words ~incremental:true nl check)
-      oracle);
   assert (
     P.equal_outputs
       (P.run_strips ~jobs:(max 2 !jobs) ~words:strip_words nl check)
       oracle);
-  let lazy_oracle = P.run_reference nl lazy_check in
-  assert (
-    P.equal_outputs
-      (P.run_strips ~words:strip_words ~incremental:true nl lazy_check)
-      lazy_oracle);
-  (* mutant enables: force the first two inputs to distinct lane words *)
-  let forced =
-    match Array.to_list (P.tape_inputs (P.tape nl)) with
-    | (a, _) :: (b, _) :: _ -> [ (a, 0x5555555555); (b, 0x3333333333) ]
-    | [ (a, _) ] -> [ (a, 0x5555555555) ]
-    | [] -> []
-  in
-  let mprng = T.Prng.create ~seed:7 in
-  assert (
-    P.equal_outputs
-      (P.run_mutants ~cycles ~prng:mprng ~forced nl)
-      (P.run_mutants_reference ~cycles ~prng:mprng ~forced nl));
-  Format.printf
-    "%s: all modes bit-identical (fault-packed lanes match per-mutant \
-     scalar runs)@."
-    name
+  Format.printf "%s: strips bit-identical to the scalar oracle@." name
 
 let sim_measure (name, rtl) =
   let nl = rtl.T.Rtl.netlist in
@@ -558,43 +528,20 @@ let sim_measure (name, rtl) =
   (* smaller batch for the scalar engine so one rep stays sub-second on
      the large netlists; rates are per-vector so they stay comparable *)
   let scalar_n = P.lanes * 4 in
-  let packed_n = P.lanes * 64 in
   let strips_n = P.lanes * strip_words * 16 in
-  let row mode activity vps =
-    { sim_bench = name; sim_nets = nets; sim_mode = mode;
-      sim_activity = activity; sim_vps = vps }
+  let row mode vps =
+    { sim_bench = name; sim_nets = nets; sim_mode = mode; sim_vps = vps }
   in
-  let sim = P.create nl in
-  let batch n act = P.batch ~prng ~cycles ~activity:act n in
-  let strips_rate ~incremental act =
-    let b = batch strips_n act in
-    rate
-      (fun () -> ignore (P.run_strips ~words:strip_words ~incremental nl b))
-      strips_n
-  in
-  let forced =
-    match Array.to_list (P.tape_inputs (P.tape nl)) with
-    | (a, _) :: _ -> [ (a, 0x5555555555) ]
-    | [] -> []
-  in
-  let mprng = T.Prng.create ~seed:7 in
+  let batch n = P.batch ~prng ~cycles n in
   [
-    row "scalar" 1.0
-      (let b = batch scalar_n 1.0 in
+    row "scalar"
+      (let b = batch scalar_n in
        rate (fun () -> ignore (P.run_reference nl b)) scalar_n);
-    row "packed" 1.0
-      (let b = batch packed_n 1.0 in
-       rate (fun () -> ignore (P.run sim b)) packed_n);
-    row "strips" 1.0 (strips_rate ~incremental:false 1.0);
-    row "strips" 0.05 (strips_rate ~incremental:false 0.05);
-    row "incremental" 1.0 (strips_rate ~incremental:true 1.0);
-    row "incremental" 0.25 (strips_rate ~incremental:true 0.25);
-    row "incremental" 0.05 (strips_rate ~incremental:true 0.05);
-    (* one tape pass per cycle simulates [lanes] trojan on/off variants *)
-    row "fault-packed" 1.0
-      (rate
-         (fun () -> ignore (P.run_mutants ~cycles ~prng:mprng ~forced nl))
-         P.lanes);
+    row "strips"
+      (let b = batch strips_n in
+       rate
+         (fun () -> ignore (P.run_strips ~words:strip_words nl b))
+         strips_n);
   ]
 
 let sim_measurements () = List.concat_map sim_measure (sim_netlists ())
@@ -613,8 +560,8 @@ let sim () =
   in
   let table =
     T.Tablefmt.create
-      ~aligns:[ T.Tablefmt.Left; Right; Left; Right; Right; Right ]
-      ~header:[ "Benchmark"; "nets"; "mode"; "activity"; "v/s"; "vs scalar" ]
+      ~aligns:[ T.Tablefmt.Left; Right; Left; Right; Right ]
+      ~header:[ "Benchmark"; "nets"; "mode"; "v/s"; "vs scalar" ]
       ()
   in
   List.iter
@@ -624,7 +571,6 @@ let sim () =
           r.sim_bench;
           string_of_int r.sim_nets;
           r.sim_mode;
-          Printf.sprintf "%.2f" r.sim_activity;
           Printf.sprintf "%.3g" r.sim_vps;
           (match scalar_of r.sim_bench with
           | Some s when s > 0.0 -> Printf.sprintf "%.1fx" (r.sim_vps /. s)
@@ -634,9 +580,8 @@ let sim () =
   Format.printf "%s" (T.Tablefmt.render table);
   Format.printf
     "(4-cycle random vectors, one domain; strips = %d words per \
-     dispatch, %d vectors per tape pass; fault-packed = %d trojan \
-     variants per pass; every mode verified bit-identical first)@."
-    strip_words (P.lanes * strip_words) P.lanes;
+     dispatch, %d vectors per tape pass; verified bit-identical first)@."
+    strip_words (P.lanes * strip_words);
   if !min_speedup > 0.0 then begin
     (* enforce on the largest netlist: the strip engine exists to
        amortise per-instruction dispatch and per-lane stimulus, which
@@ -646,24 +591,24 @@ let sim () =
        itself rather than a same-run ratio that the shared fast
        stimulus path would flatten. *)
     let pre_strip_packed_vps = 24525.5 in
-    let vps bench mode =
+    let fir16_strips =
       List.find_map
         (fun r ->
-          if r.sim_bench = bench && r.sim_mode = mode && r.sim_activity = 1.0
-          then Some r.sim_vps
+          if r.sim_bench = "fir16" && r.sim_mode = "strips" then
+            Some r.sim_vps
           else None)
         rows
     in
-    match (vps "fir16" "strips", vps "fir16" "packed") with
-    | None, _ | _, None ->
-        Format.printf "--min-speedup: no fir16 strips/packed rows measured@.";
+    match fir16_strips with
+    | None ->
+        Format.printf "--min-speedup: no fir16 strips row measured@.";
         exit 1
-    | Some strips, Some packed ->
+    | Some strips ->
         let s = strips /. pre_strip_packed_vps in
         Format.printf
           "fir16 strips: %.3g v/s = %.1fx the pre-strip packed engine \
-           (%.3g v/s recorded; same-run packed now %.3g v/s)@."
-          strips s pre_strip_packed_vps packed;
+           (%.3g v/s recorded)@."
+          strips s pre_strip_packed_vps;
         if s < !min_speedup then begin
           Format.printf
             "FAIL: strips speedup %.1fx on fir16 below required %.1fx@." s
@@ -938,14 +883,16 @@ let json () =
   let service = json_service_pass () in
   let doc =
     J.Obj
-      [ (* 4: "sim" becomes per-mode rows (scalar / packed / strips /
+      [ (* 5: "sim" rows are scalar / strips only, without the activity
+           column (the other engines and low-activity stimulus are gone).
+           4: "sim" becomes per-mode rows (scalar / packed / strips /
            incremental / fault-packed) with an activity column, replacing
            the scalar/packed/sharded triple.
            3: ILP sides gain LU/cut counters, warm_hit_rate is the share
            of node LPs warm-started (was warm/(warm+cold) solve mix), and
            floats are rounded to 6 significant digits.
            2: per-row "metrics" registry deltas; 1: no such field *)
-        ("schema", J.Int 4);
+        ("schema", J.Int 5);
         ("rows", J.List (List.map fst results));
         ( "summary",
           J.Obj
@@ -966,7 +913,6 @@ let json () =
                    [ ("bench", J.String r.sim_bench);
                      ("nets", J.Int r.sim_nets);
                      ("mode", J.String r.sim_mode);
-                     ("activity", J.Float r.sim_activity);
                      ("vps", J.Float (sig6 r.sim_vps)) ])
                (sim_measurements ())) );
         ("jobs", J.Int !jobs) ]

@@ -6,10 +6,15 @@
     destination, in the topological order {!Netlist.finalise} already
     computed — and evaluates it with native [int] bitwise ops.  Each
     machine word carries {!lanes} independent input vectors, one per
-    bit, so a single settle pass simulates {!lanes} vectors at the cost
-    of one ([lnot]/[land]/[lor]/[lxor] evaluate all lanes at once; a mux
+    bit ([lnot]/[land]/[lor]/[lxor] evaluate all lanes at once; a mux
     is [ (t1 land sel) lor (t0 land lnot sel) ]).  DFF state, constants
     and mux selects all stay packed.
+
+    There is one simulation engine, the {e strip} engine: the tape is
+    re-compiled for a strip width [S ∈ {1, 2, 4, 8}] so every net
+    carries [S] lane words and one settle pass simulates [S * lanes]
+    vectors (see {!strip}).  The scalar {!tape} stays as the compile
+    IR: the strip compiler and [Thr_sat.Cnf] both read it.
 
     Tapes are immutable and cached on {!Netlist.uid} (compile once, even
     across repeated simulator construction and worker domains); the
@@ -18,18 +23,15 @@
     domain.
 
     {b Determinism contract.}  A {!batch} fixes its stimulus up front,
-    independently of any engine.  At full activity the stream is
-    counter-based: the lane word driving input [k] at cycle [c] of
-    global lane-word [w] is a stateless hash of [(w, c, k)] under the
-    batch seed ({!Thr_util.Prng.mix63}), and vector [j] owns bit
-    [j mod lanes] of word [j / lanes] — so driving {!lanes} vectors
-    costs one hash, and the derivation never depends on how vectors are
-    packed into lanes, strips or shards.  Below full activity the batch
-    derives one generator per vector ({!Thr_util.Prng.split} in vector
-    order) and each input redraws or holds per vector and cycle (see
-    {!batch}).  [run], [run_sharded] (any [jobs]), [run_strips] (any
-    width, event-driven or not) and the scalar oracle [run_reference]
-    therefore return bit-identical outputs for the same batch.
+    independently of any engine.  The stream is counter-based: the lane
+    word driving input [k] at cycle [c] of global lane-word [w] is a
+    stateless hash of [(w, c, k)] under the batch seed
+    ({!Thr_util.Prng.mix63}), and vector [j] owns bit [j mod lanes] of
+    word [j / lanes] — so driving {!lanes} vectors costs one hash, and
+    the derivation never depends on how vectors are packed into strips
+    or shards.  [run_strips] (any width, any [jobs]) and the scalar
+    oracle [run_reference] therefore return bit-identical outputs for
+    the same batch.
 
     Scalar {!Sim} remains the reference semantics; the equivalence is
     enforced by a qcheck property over random netlists. *)
@@ -110,154 +112,67 @@ val tape_dff_init : tape -> int -> bool
 val tape_inputs : tape -> (string * int) array
 (** Primary inputs as [(name, net index)], declaration order. *)
 
-(** {1 Simulation} *)
-
-type t
-(** Mutable lane-packed simulator state over a tape.  Mirrors {!Sim}:
-    all DFFs at their init values, all inputs at 0, in every lane. *)
-
-val create : Netlist.t -> t
-(** [create nl] = [of_tape (tape nl)]. *)
-
-val of_tape : tape -> t
-
-val netlist : t -> Netlist.t
-
-val reset : t -> unit
-(** Back to power-on: DFFs to init values, inputs (and all nets) to 0,
-    in every lane. *)
-
-val set_input : t -> string -> int -> unit
-(** Drive an input with a lane word (bit [k] = the value in lane [k]).
-    @raise Invalid_argument on an unknown input name. *)
-
-val settle : t -> unit
-(** One tape pass: propagate inputs through the combinational logic.
-    Unused high lanes may hold garbage after inversions; mask with
-    {!lane_mask} before interpreting fewer than {!lanes} lanes. *)
-
-val clock : t -> unit
-(** [settle], latch every DFF, [settle] — the same edge semantics as
-    {!Sim.clock}, in every lane at once. *)
-
-val output : t -> string -> int
-(** Lane word of a primary output after the last [settle]/[clock].
-    @raise Invalid_argument on an unknown output name. *)
-
-val peek : t -> Netlist.net -> int
-(** Lane word of any net. *)
-
-val peek_lane : t -> Netlist.net -> int -> bool
-(** One lane of one net ([lane] in [0, lanes)). *)
-
-val peek_index : t -> int -> int
-(** Lane word of the net with raw index [i] (see {!Netlist.net_index}).
-    Probe hook for watch-lists that pre-resolve nets to indices. *)
-
-val sample : t -> int array -> int array -> unit
-(** [sample t nets dst] bulk-reads the lane words of the raw net indices
-    [nets] into [dst] — the flight recorder's once-per-cycle probe.
-    @raise Invalid_argument if the array lengths differ. *)
-
-val dff_state : t -> int array
-(** Snapshot of the packed DFF lane words (copy). *)
-
 (** {1 Batches} *)
 
 type batch
-(** [n] vectors of random stimulus: per-vector generators split off the
-    caller's generator, plus a cycle count.  Reusable: every run copies
-    the generators. *)
+(** [n] vectors of random stimulus: a counter-hash seed plus a cycle
+    count.  Immutable, so reusable across runs. *)
 
-val batch : prng:Thr_util.Prng.t -> ?cycles:int -> ?activity:float -> int -> batch
-(** [batch ~prng ~cycles n] fixes the stimulus for [n] vectors: a
-    counter-hash seed plus [n] per-vector generators, drawn from [prng]
-    (one {!Thr_util.Prng.next_int64} then [n] splits).  [cycles]
-    (default 1) clock edges are applied per vector, each driving every
-    input with a fresh bit.
-
-    [activity] (default [1.0]) models low-toggle stimulus: below 1.0,
-    each input each cycle first draws a float and only redraws a fresh
-    bool with probability [activity], otherwise holding its previous
-    value (inputs power on at 0) — per vector, from that vector's
-    generator.  At the default the stream comes from the allocation-free
-    counter hash instead (see the determinism contract).  The derivation
-    is part of the batch, so all engines ([run], [run_strips] in every
-    mode, [run_reference]) stay bit-identical for any activity.
-    @raise Invalid_argument if [n < 0], [cycles < 1] or
-    [activity] outside (0, 1]. *)
-
-val batch_size : batch -> int
-
-val batch_cycles : batch -> int
-
-val batch_activity : batch -> float
+val batch : prng:Thr_util.Prng.t -> ?cycles:int -> int -> batch
+(** [batch ~prng ~cycles n] fixes the stimulus for [n] vectors: one
+    {!Thr_util.Prng.next_int64} draw from [prng] seeds the counter hash
+    (see the determinism contract).  [cycles] (default 1) clock edges
+    are applied per vector, each driving every input with a fresh bit.
+    @raise Invalid_argument if [n < 0] or [cycles < 1]. *)
 
 type outputs = {
   out_names : string array;          (** primary outputs, declaration order *)
   out_bits : bool array array;       (** [out_bits.(vector).(output)] *)
 }
 
-val run : t -> batch -> outputs
-(** Simulate the whole batch on one domain, {!lanes} vectors per pass,
-    resetting between lane words.  Wrapped in a ["sim.run"] span; bumps
-    the [thr_sim_vectors_total] counter and the
-    [thr_sim_vectors_per_second] histogram. *)
-
-val run_sharded : ?jobs:int -> Netlist.t -> batch -> outputs
-(** [run] with the lane words of the batch sharded over [jobs] domains
-    ({!Thr_util.Dpool}); each domain gets its own state over the shared
-    cached tape.  [jobs <= 1] runs inline.  Output is bit-identical to
-    [run] for any [jobs] (see the determinism contract). *)
-
 val run_reference : Netlist.t -> batch -> outputs
-(** The same batch through scalar {!Sim}, one vector at a time (a single
+(** The batch through scalar {!Sim}, one vector at a time (a single
     simulator reused with {!Sim.reset}) — the oracle for equivalence
     tests and the baseline for the [bench -- sim] speedup. *)
 
 val equal_outputs : outputs -> outputs -> bool
 
-(** {1 Multi-word lane strips}
+(** {1 Lane strips}
 
-    The strip engine re-compiles the tape for a fixed strip width
+    The strip tape re-compiles the tape for a fixed strip width
     [S ∈ {1, 2, 4, 8}]: every net carries [S] consecutive lane words
     ([S * lanes] vectors per pass), and the instruction stream is stably
-    sorted by (level, opcode) into homogeneous segments so the settle
-    kernel dispatches on the opcode {e once per segment} and evaluates
-    [S] unrolled words per instruction — amortising the per-instruction
-    jump-table dispatch that dominates the legacy loop on large
-    netlists.  Strip tapes are cached under [(uid, S)], separately from
+    sorted by (level, opcode) — one counting pass — into homogeneous
+    segments, so the settle kernel dispatches on the opcode {e once per
+    segment} and evaluates [S] unrolled words per instruction.  Strip
+    tapes are cached under [(uid, S)], in a cache bounded together with
     the scalar tape cache; compiles bump [thr_sim_compiles_total] and
     [thr_sim_tape_bytes_total].
 
-    The event-driven mode ([~incremental:true]) adds a per-level dirty
-    queue: pokes that change an input word and clock edges that change a
-    latched DFF word schedule their reader instructions, and [settle]
-    drains the queues in level order recomputing only what was
-    scheduled (the first settle after a reset is always a full pass).
-    Results are bit-identical to full evaluation — enforced by qcheck —
-    with cost proportional to switching activity. *)
+    A clock edge is {!strip_settle} then {!strip_latch}; a settle after
+    the latch exposes the post-edge state, with the same edge semantics
+    as {!Sim.clock}.  Callers that redrive inputs each cycle fuse the
+    trailing settle with the next cycle's leading one. *)
 
 type strip
-(** Mutable strip-simulator state (the analogue of {!t}). *)
+(** Mutable strip-simulator state: all DFFs at their init values, all
+    inputs at 0, in every lane of every word. *)
 
-val strip : ?words:int -> ?incremental:bool -> Netlist.t -> strip
-(** [strip ~words ~incremental nl] builds strip state over the cached
-    [(uid, words)] strip tape.  [words] defaults to 8; [incremental]
-    (default false) enables event-driven settling.
+val strip : ?words:int -> Netlist.t -> strip
+(** [strip ~words nl] builds power-on strip state over the cached
+    [(uid, words)] strip tape.  [words] defaults to 8.
     @raise Invalid_argument if [words] is not one of {1, 2, 4, 8}. *)
 
 val strip_words : strip -> int
 
-val strip_netlist : strip -> Netlist.t
-
 val strip_reset : strip -> unit
-(** Power-on in every lane of every word; the next settle is a full pass. *)
+(** Back to power-on in every lane of every word: DFFs to init values,
+    inputs (and all nets) to 0. *)
 
 val strip_set_input : strip -> string -> int -> int -> unit
 (** [strip_set_input st nm w v] drives lane word [w] (in [0, words)) of
-    input [nm] with [v].  In incremental mode a change schedules the
-    input's reader cone.  @raise Invalid_argument on an unknown name. *)
+    input [nm] with [v] (bit [k] = the value in lane [k]).
+    @raise Invalid_argument on an unknown name. *)
 
 val strip_poke : strip -> int -> int -> int -> unit
 (** [strip_poke st net w v]: {!strip_set_input} by raw net index, for
@@ -265,50 +180,23 @@ val strip_poke : strip -> int -> int -> int -> unit
     poking a driven net is overwritten by the next settle. *)
 
 val strip_settle : strip -> unit
-(** Full segmented pass, or (incremental mode, after the first pass) a
-    drain of the scheduled cones. *)
+(** One segmented pass: propagate inputs and DFF state through the
+    combinational logic.  Unused high lanes may hold garbage after
+    inversions; mask with {!lane_mask} before interpreting fewer than
+    {!lanes} lanes. *)
 
 val strip_latch : strip -> unit
-(** Latch every DFF.  Unlike legacy {!clock} there is no trailing
-    settle: runners settle once per cycle and once more before reading
-    (bit-identical, nearly half the passes).  In incremental mode a
-    changed DFF word schedules its op_dff instruction. *)
+(** Latch every DFF from its settled data net. *)
 
 val strip_peek : strip -> Netlist.net -> int -> int
 (** Lane word [w] of a net after the last settle. *)
 
 val strip_peek_index : strip -> int -> int -> int
-(** Same by raw net index. *)
+(** Same by raw net index (see {!Netlist.net_index}). *)
 
-val run_strips :
-  ?jobs:int -> ?words:int -> ?incremental:bool -> Netlist.t -> batch -> outputs
-(** The strip engine's batch runner: [words * lanes] vectors per tape
-    pass, fused clock, optional event-driven settling, sharded over
-    [jobs] domains when given.  Bit-identical to [run] /
-    [run_reference] for any [words], [incremental] and [jobs]. *)
-
-(** {1 Concurrent fault simulation} *)
-
-val run_mutants :
-  ?cycles:int ->
-  prng:Thr_util.Prng.t ->
-  forced:(string * int) list ->
-  Netlist.t ->
-  outputs
-(** Pack {e mutants} across lanes instead of vectors: every lane sees
-    the same stimulus — one shared draw per non-[forced] input per cycle
-    (declaration order, from a copy of [prng]), replicated across all
-    lanes — while each [forced] input (a mutant enable gate) drives its
-    given lane word every cycle.  One tape pass per cycle therefore
-    evaluates up to {!lanes} trojan on/off variants of one input stream.
-    [out_bits] has {!lanes} rows, one per lane. *)
-
-val run_mutants_reference :
-  ?cycles:int ->
-  prng:Thr_util.Prng.t ->
-  forced:(string * int) list ->
-  Netlist.t ->
-  outputs
-(** Scalar oracle for {!run_mutants}: lane [k] re-runs the same shared
-    stream through {!Sim} with each forced input at bit [k] of its
-    word. *)
+val run_strips : ?jobs:int -> ?words:int -> Netlist.t -> batch -> outputs
+(** The batch runner: [words * lanes] vectors per tape pass, fused
+    clock, sharded over [jobs] domains when given.  Bit-identical to
+    [run_reference] for any [words] and [jobs].  Wrapped in a
+    ["sim.run"] span; bumps the [thr_sim_vectors_total] counter and the
+    [thr_sim_vectors_per_second] histogram. *)

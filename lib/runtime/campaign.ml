@@ -8,6 +8,7 @@ module Trojan = Thr_trojan.Trojan
 module Prng = Thr_util.Prng
 module Dpool = Thr_util.Dpool
 module Journal = Thr_obs.Journal
+module Trace = Thr_obs.Trace
 
 type config = {
   n_runs : int;
@@ -261,13 +262,16 @@ type cosim_result = {
 
 let cosim_ok r = r.cosim_mismatches = 0
 
-let cosim ?(config = default_config) ?(jobs = 1) ?(width = 16) ?strip_words
-    ?(incremental = false) ~prng ~vectors design =
+let cosim ?(config = default_config) ?(jobs = 1) ?(width = 16) ~prng ~vectors
+    design =
+  Trace.with_span "campaign.cosim"
+    ~args:[ ("vectors", string_of_int vectors) ]
+  @@ fun () ->
   let dfg = design.Design.spec.Spec.dfg in
   let rtl = Rtl.elaborate ~width design in
   (* environments drawn from the shared generator, like campaign trials *)
   let envs = List.init vectors (fun _ -> random_env config prng dfg) in
-  let results = Rtl.run_batch ~jobs ?strip_words ~incremental rtl envs in
+  let results = Rtl.run_batch ~jobs rtl envs in
   let m = 1 lsl width in
   let mismatches = ref 0 and first_bad = ref None in
   let detections = ref 0 and first_detect = ref None in
@@ -339,6 +343,9 @@ let pp_mutant_report ppf r =
 let cosim_mutants ?(config = default_config) ?(width = 16) ~prng ~vectors
     design =
   if vectors < 1 then invalid_arg "Campaign.cosim_mutants: vectors must be >= 1";
+  Trace.with_span "campaign.cosim_mutants"
+    ~args:[ ("vectors", string_of_int vectors) ]
+  @@ fun () ->
   let spec = design.Design.spec in
   let dfg = spec.Spec.dfg in
   let envs = List.init vectors (fun _ -> random_env config prng dfg) in

@@ -94,8 +94,6 @@ val cosim :
   ?config:config ->
   ?jobs:int ->
   ?width:int ->
-  ?strip_words:int ->
-  ?incremental:bool ->
   prng:Thr_util.Prng.t ->
   vectors:int ->
   Thr_hls.Design.t ->
@@ -106,11 +104,9 @@ val cosim :
     the multi-word strip engine via {!Rtl.run_batch}, against
     {!Thr_dfg.Eval} reference outputs (compared modulo [2^width]).  A
     clean design must report zero mismatches and never raise the
-    comparator flag; [jobs] shards the batch across domains, and
-    [strip_words] / [incremental] select the strip width and
-    event-driven settling, none of which changes the result.  This backs
-    [thls simulate --vectors] (and its [--strip-words] /
-    [--incremental] flags).
+    comparator flag; [jobs] shards the batch across domains without
+    changing the result.  This backs [thls simulate --vectors] and runs
+    under a ["campaign.cosim"] trace span.
 
     @raise Invalid_argument if the design is invalid. *)
 
@@ -153,6 +149,7 @@ val cosim_mutants :
     computes under the first vector, so the live variants really fire),
     and {!Rtl.run_mutant_batch} scores the clean circuit plus every
     mutant against each vector in single strip passes — lane 0 clean,
-    lane [g + 1] running mutant [g].
+    lane [g + 1] running mutant [g].  Runs under a
+    ["campaign.cosim_mutants"] trace span.
 
     @raise Invalid_argument if the design is invalid or [vectors] is 0. *)

@@ -19,6 +19,7 @@ module Check = Thr_check.Check
 module Taint = Thr_check.Taint
 module Finding = Thr_check.Finding
 module Journal = Thr_obs.Journal
+module Trace = Thr_obs.Trace
 module Recorder = Thr_obs.Recorder
 
 type t = {
@@ -136,13 +137,16 @@ let payload_wrap nl trojan ~trigger out =
       let corrupting = Netlist.or_ nl latch trigger in
       Bus.xor_enable nl out ~enable:corrupting ~mask
 
-let vendor_of t net =
-  let i = Netlist.net_index net in
-  let rec go = function
-    | [] -> None
-    | (lo, hi, v) :: rest -> if i >= lo && i <= hi then Some v else go rest
-  in
-  go t.vendor_regions
+(* The per-net table is built once, when [vendor_of t] is applied to
+   the elaboration: callers (the taint pass, once per net) then pay an
+   array read instead of a scan of every region.  Regions are disjoint:
+   each is the run of nets created while one core's cone was built. *)
+let vendor_of t =
+  let tbl = Array.make (Netlist.n_nets t.netlist) None in
+  List.iter
+    (fun (lo, hi, v) -> Array.fill tbl lo (hi - lo + 1) (Some v))
+    t.vendor_regions;
+  fun net -> tbl.(Netlist.net_index net)
 
 let elaborate ?(width = 16) ?(injections = []) ?(gated_injections = [])
     ?seeded_bug design =
@@ -600,8 +604,8 @@ let input_bit_ids t =
    lane word per input bit carries up to [Packed.lanes] environments and
    one strip pass carries [strip_words * Packed.lanes] of them.  The
    clock is fused (one settle up front, then latch + settle per edge),
-   which is bit-identical to the legacy settle/latch/settle clock under
-   constant inputs. *)
+   which under constant inputs is bit-identical to settling on both
+   sides of every edge. *)
 let run_chunks t st input_ids envs results lo hi =
   let vmask = (1 lsl t.width) - 1 in
   let s = Packed.strip_words st in
@@ -664,30 +668,27 @@ let run_chunks t st input_ids envs results lo hi =
     j := !j + count
   done
 
-let run_batch ?(jobs = 1) ?strip_words ?(incremental = false) t envs =
+let run_batch ?(jobs = 1) t envs =
   let envs = Array.of_list envs in
   let n = Array.length envs in
+  Trace.with_span "rtl.run_batch"
+    ~args:[ ("envs", string_of_int n); ("jobs", string_of_int jobs) ]
+  @@ fun () ->
   (* single environments (thls simulate's common case) stay on the
      narrow strip; batches wide enough to fill more than one lane word
-     default to the full 8-word strip *)
-  let words =
-    match strip_words with
-    | Some w -> w
-    | None -> if n > Packed.lanes then 8 else 1
-  in
+     take the full 8-word strip *)
+  let words = if n > Packed.lanes then 8 else 1 in
   let input_ids = input_bit_ids t in
   let results = Array.make n None in
   let cap = words * Packed.lanes in
   let groups = (n + cap - 1) / cap in
   if jobs <= 1 || groups <= 1 then
-    run_chunks t
-      (Packed.strip ~words ~incremental t.netlist)
-      input_ids envs results 0 n
+    run_chunks t (Packed.strip ~words t.netlist) input_ids envs results 0 n
   else begin
     (* warm the shared strip-tape cache once, then hand each domain its
        own simulator state over contiguous strip-aligned shards; each
        writes a disjoint slice of [results] *)
-    ignore (Packed.strip ~words ~incremental t.netlist);
+    ignore (Packed.strip ~words t.netlist);
     let shards = min groups (jobs * 2) in
     let per = (groups + shards - 1) / shards in
     let ranges =
@@ -700,9 +701,8 @@ let run_batch ?(jobs = 1) ?strip_words ?(incremental = false) t envs =
         ignore
           (Dpool.map pool
              (fun (lo, hi) ->
-               run_chunks t
-                 (Packed.strip ~words ~incremental t.netlist)
-                 input_ids envs results lo hi)
+               run_chunks t (Packed.strip ~words t.netlist) input_ids envs
+                 results lo hi)
              ranges))
   end;
   Array.to_list results
@@ -724,6 +724,9 @@ let run_mutant_batch t envs =
   let gates = t.mutant_gates in
   if gates = [] then
     invalid_arg "Rtl.run_mutant_batch: design has no gated injections";
+  Trace.with_span "rtl.run_mutant_batch"
+    ~args:[ ("envs", string_of_int (List.length envs)) ]
+  @@ fun () ->
   let vmask = (1 lsl t.width) - 1 in
   let envs = Array.of_list envs in
   let n = Array.length envs in
@@ -856,38 +859,47 @@ type recorded = {
    first reaching their rare level, the comparator tripping and the
    recovery outcome are emitted to the journal (no-ops unless
    [Journal.enable] was called), and detection/recovery latencies feed
-   the [thr_rt_*] cycle histograms under trojan class [cls]. *)
+   the [thr_rt_*] cycle histograms under trojan class [cls].  It runs on
+   a one-word strip with the clock fused as in [run_chunks]; the
+   recorder samples strip word 0 after every edge's settle. *)
 let run_recorded ?(depth = 256) ?watch ?(cls = "") t env =
   let watch = match watch with Some w -> w | None -> watchlist t in
   if watch = [] then invalid_arg "Rtl.run_recorded: empty watch list";
+  Trace.with_span "rtl.run_recorded"
+    ~args:[ ("cycles", string_of_int t.total_cycles) ]
+  @@ fun () ->
   let names = Array.of_list (List.map (fun w -> w.w_name) watch) in
   let nets = Array.of_list (List.map (fun w -> w.w_index) watch) in
   let rares = Array.of_list (List.map (fun w -> w.w_rare) watch) in
   let recorder = Recorder.create ~names ~depth () in
-  let sim = Packed.of_tape (Packed.tape t.netlist) in
-  Packed.reset sim;
+  let sim = Packed.strip ~words:1 t.netlist in
   let dfg = t.design.Design.spec.Spec.dfg in
   let vmask = (1 lsl t.width) - 1 in
   List.iter
-    (fun nm ->
+    (fun (nm, ids) ->
       let v =
         match List.assoc_opt nm env with
         | Some v -> v land vmask
         | None ->
             invalid_arg (Printf.sprintf "Rtl.run_recorded: missing input %S" nm)
       in
-      for i = 0 to t.width - 1 do
-        Packed.set_input sim (Printf.sprintf "%s.%d" nm i) ((v lsr i) land 1)
-      done)
-    (Dfg.inputs dfg);
+      Array.iteri
+        (fun i id -> Packed.strip_poke sim id 0 ((v lsr i) land 1))
+        ids)
+    (input_bit_ids t);
   let scratch = Array.make (Array.length nets) 0 in
   let mhist = Array.make t.total_cycles 0 in
   let fired = Array.make (Array.length nets) false in
+  let mi = Netlist.net_index t.mismatch in
+  Packed.strip_settle sim;
   for c = 1 to t.total_cycles do
-    Packed.clock sim;
-    Packed.sample sim nets scratch;
+    Packed.strip_latch sim;
+    Packed.strip_settle sim;
+    Array.iteri
+      (fun i net -> scratch.(i) <- Packed.strip_peek_index sim net 0)
+      nets;
     Recorder.push recorder ~cycle:c scratch;
-    mhist.(c - 1) <- Packed.peek sim t.mismatch;
+    mhist.(c - 1) <- Packed.strip_peek_index sim mi 0;
     Array.iteri
       (fun i rare ->
         match rare with
@@ -899,7 +911,7 @@ let run_recorded ?(depth = 256) ?watch ?(cls = "") t env =
         | _ -> ())
       rares
   done;
-  let lane net = Packed.peek_lane sim net 0 in
+  let lane net = Packed.strip_peek sim net 0 land 1 = 1 in
   let read (o, bus) = (o, sign_extend t.width (Bus.to_int lane bus)) in
   let first = first_detect_of mhist 0 in
   let result =

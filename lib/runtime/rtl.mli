@@ -74,7 +74,9 @@ val elaborate :
     unguarded output (an elaborator bug, not a user error). *)
 
 val vendor_of : t -> Thr_gates.Netlist.net -> int option
-(** Which vendor's core region built the net, from [vendor_regions]. *)
+(** Which vendor's core region built the net, from [vendor_regions].
+    [vendor_of t] builds a per-net table once; apply it to [t] once and
+    reuse the resulting function for many nets. *)
 
 val taint_spec : t -> Thr_check.Check.taint_spec
 (** Taint-pass input for this elaboration: provenance, the mismatch net
@@ -141,26 +143,18 @@ val run : t -> Thr_dfg.Eval.env -> result
     {!run_batch}: the netlist's compiled strip tape is cached, so
     repeated calls never re-walk the netlist. *)
 
-val run_batch :
-  ?jobs:int ->
-  ?strip_words:int ->
-  ?incremental:bool ->
-  t ->
-  Thr_dfg.Eval.env list ->
-  result list
-(** [run] over many environments at once on the multi-word strip engine
-    ({!Thr_gates.Packed.strip}) — [strip_words * Thr_gates.Packed.lanes]
-    environments per fused-clock simulation pass, and with [jobs > 1]
-    strip-aligned slices of the batch fanned out across a
-    {!Thr_util.Dpool}.  [strip_words] defaults adaptively: 1 word when
-    the batch fits a single lane word, 8 otherwise.  [incremental]
-    (default false) switches the per-cycle settles to event-driven
-    evaluation.  Results are in input order and identical to mapping
-    {!run} (every environment is an independent power-on run of the
-    netlist), for any [jobs], [strip_words] and [incremental].
+val run_batch : ?jobs:int -> t -> Thr_dfg.Eval.env list -> result list
+(** [run] over many environments at once on the strip engine
+    ({!Thr_gates.Packed.strip}) — one fused-clock simulation pass
+    carries a strip of lane words, and with [jobs > 1] strip-aligned
+    slices of the batch fan out across a {!Thr_util.Dpool}.  The strip
+    width follows the batch: 1 word when it fits a single lane word
+    (at most {!Thr_gates.Packed.lanes} environments), 8 otherwise.
+    Results are in input order and identical to mapping {!run} (every
+    environment is an independent power-on run of the netlist), for any
+    [jobs].  Runs under an ["rtl.run_batch"] trace span.
 
-    @raise Invalid_argument if an environment misses a primary input or
-    [strip_words] is not one of {1, 2, 4, 8}. *)
+    @raise Invalid_argument if an environment misses a primary input. *)
 
 (** {1 Concurrent fault simulation} *)
 
@@ -174,11 +168,12 @@ type mutant_result = {
 val run_mutant_batch : t -> Thr_dfg.Eval.env list -> mutant_result list
 (** For an elaboration with [gated_injections]: run every environment
     once with the clean circuit in lane 0 and mutant [g] armed in lane
-    [g + 1], packing up to [strip_words] environments per strip pass —
-    the whole trojan zoo is scored against each stimulus in a single
-    simulation of one netlist.  [m_clean] is bit-identical to {!run} of
-    the un-gated elaboration and each [m_mutants] entry to {!run} of the
-    corresponding plain-injection elaboration.
+    [g + 1], one environment per strip word and up to 8 environments per
+    strip pass — the whole trojan zoo is scored against each stimulus in
+    a single simulation of one netlist.  [m_clean] is bit-identical to
+    {!run} of the un-gated elaboration and each [m_mutants] entry to
+    {!run} of the corresponding plain-injection elaboration.  Runs under
+    an ["rtl.run_mutant_batch"] trace span.
 
     @raise Invalid_argument if the design has no gated injections or an
     environment misses a primary input. *)
@@ -222,7 +217,9 @@ val run_recorded :
     emitted (one [Atomic.get] each when the journal is disabled), and a
     detection feeds the [thr_rt_detection_latency_cycles] /
     [thr_rt_recovery_latency_cycles] histograms, also per trojan class
-    when [cls] is non-empty (e.g. ["comb"], ["seq"]).
+    when [cls] is non-empty (e.g. ["comb"], ["seq"]).  Runs on a
+    one-word strip under an ["rtl.run_recorded"] trace span; the
+    recorder samples strip word 0.
 
     @raise Invalid_argument on an empty watch list or a missing input. *)
 

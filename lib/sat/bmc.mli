@@ -76,8 +76,9 @@ val witness_of :
     solver common to many candidates. *)
 
 val replay : Thr_gates.Netlist.t -> witness -> bool
-(** Replay the witness on the packed simulator — [w_cycle - 1] clocked
-    cycles then a final settle — and report whether the target net shows
+(** Replay the witness on a one-word strip of the gate simulator
+    ({!Thr_gates.Packed.strip}) — [w_cycle - 1] clocked cycles then a
+    final settle — and report whether the target net shows
     [w_value].  A sound witness always replays true; {!Thr_check} treats
     a [false] as a prover bug and refuses the escalation. *)
 

@@ -658,6 +658,18 @@ let taint_matches_oracle =
 let check_taint_oracle what rtl =
   let nl = rtl.Rtl.netlist in
   let { Check.vendor_of; mismatch; min_vendors } = Rtl.taint_spec rtl in
+  (* the per-net vendor table must answer like a front-to-back scan of
+     the elaboration's regions *)
+  let scan net =
+    let i = Netlist.net_index net in
+    List.find_map
+      (fun (lo, hi, v) -> if i >= lo && i <= hi then Some v else None)
+      rtl.Rtl.vendor_regions
+  in
+  Alcotest.(check bool) (what ^ ": vendor_of = region scan") true
+    (Array.for_all
+       (fun net -> vendor_of net = scan net)
+       (Netlist.nets_in_order nl));
   let fs, labels = Taint.analyse ~vendor_of ~mismatch ~min_vendors nl in
   let oracle_fs, oracle = Taint_reference.analyse ~vendor_of ~mismatch ~min_vendors nl in
   Alcotest.(check (array (list int))) (what ^ ": labels") oracle labels;

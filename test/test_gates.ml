@@ -459,39 +459,49 @@ let test_lane_mask_popcount () =
   Alcotest.(check int) "pop alternating" (Sys.int_size / 2)
     (Packed.popcount (Packed.lane_mask Packed.lanes land 0x2AAAAAAAAAAAAAAA))
 
-(* All lanes of a packed counter advance independently: lanes whose
-   enable bit is set count every cycle, the rest hold at zero. *)
+(* All lanes of a packed counter advance independently, in every strip
+   word: lanes whose enable bit is set count every cycle, the rest hold
+   at zero. *)
 let test_packed_counter_lanes () =
   let nl = Netlist.create ~name:"pcnt" in
   let en = Netlist.input nl "en" in
   let c = Bus.counter nl ~width:6 ~enable:en in
   Netlist.output nl "tc" (Bus.all_ones nl c);
-  let sim = Packed.create nl in
-  (* enable every third lane *)
-  let en_word = ref 0 in
-  for k = 0 to Packed.lanes - 1 do
-    if k mod 3 = 0 then en_word := !en_word lor (1 lsl k)
+  let sim = Packed.strip ~words:2 nl in
+  (* word 0 enables every third lane, word 1 every fifth *)
+  let enabled w k = k mod (if w = 0 then 3 else 5) = 0 in
+  for w = 0 to 1 do
+    let en_word = ref 0 in
+    for k = 0 to Packed.lanes - 1 do
+      if enabled w k then en_word := !en_word lor (1 lsl k)
+    done;
+    Packed.strip_set_input sim "en" w !en_word
   done;
-  Packed.set_input sim "en" !en_word;
   let cycles = 11 in
   for _ = 1 to cycles do
-    Packed.clock sim
+    Packed.strip_settle sim;
+    Packed.strip_latch sim
   done;
-  for k = 0 to Packed.lanes - 1 do
-    let v = Bus.to_int (fun n -> Packed.peek_lane sim n k) c in
-    Alcotest.(check int)
-      (Printf.sprintf "lane %d" k)
-      (if k mod 3 = 0 then cycles else 0)
-      v
+  Packed.strip_settle sim;
+  for w = 0 to 1 do
+    for k = 0 to Packed.lanes - 1 do
+      let v =
+        Bus.to_int (fun n -> (Packed.strip_peek sim n w lsr k) land 1 = 1) c
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "word %d lane %d" w k)
+        (if enabled w k then cycles else 0)
+        v
+    done
   done;
   (* reset returns every lane to power-on *)
-  Packed.reset sim;
-  Packed.settle sim;
+  Packed.strip_reset sim;
+  Packed.strip_settle sim;
   Alcotest.(check int) "reset clears" 0
-    (Bus.to_int (fun n -> Packed.peek_lane sim n 0) c)
+    (Bus.to_int (fun n -> Packed.strip_peek sim n 1 land 1 = 1) c)
 
 let test_packed_matches_scalar_basics () =
-  (* same netlist, same stimulus, packed vs scalar, lane by lane *)
+  (* same netlist, same stimulus, one-word strips vs scalar, lane by lane *)
   let nl = Netlist.create ~name:"pbasic" in
   let a = Netlist.input nl "a" and b = Netlist.input nl "b" in
   let x = Netlist.xor_ nl a b in
@@ -499,7 +509,7 @@ let test_packed_matches_scalar_basics () =
   Netlist.output nl "o" (Netlist.mux nl ~sel:q ~t0:x ~t1:b);
   let prng = Prng.create ~seed:7 in
   let batch = Packed.batch ~prng ~cycles:3 100 in
-  let packed = Packed.run (Packed.create nl) batch in
+  let packed = Packed.run_strips ~words:1 nl batch in
   let scalar = Packed.run_reference nl batch in
   Alcotest.(check bool) "packed = scalar" true
     (Packed.equal_outputs packed scalar)
@@ -515,13 +525,10 @@ let test_packed_errors () =
   let nl = Netlist.create ~name:"perr" in
   let a = Netlist.input nl "a" in
   Netlist.output nl "o" a;
-  let sim = Packed.create nl in
+  let sim = Packed.strip ~words:1 nl in
   Alcotest.check_raises "unknown input"
-    (Invalid_argument "Packed.set_input: unknown input \"zz\"") (fun () ->
-      Packed.set_input sim "zz" 0);
-  Alcotest.check_raises "unknown output"
-    (Invalid_argument "Packed.output: unknown output \"zz\"") (fun () ->
-      ignore (Packed.output sim "zz"));
+    (Invalid_argument "Packed.strip_set_input: unknown input \"zz\"")
+    (fun () -> Packed.strip_set_input sim "zz" 0 0);
   let prng = Prng.create ~seed:1 in
   Alcotest.check_raises "negative batch"
     (Invalid_argument "Packed.batch: negative size") (fun () ->
@@ -530,38 +537,91 @@ let test_packed_errors () =
     (Invalid_argument "Packed.batch: cycles < 1") (fun () ->
       ignore (Packed.batch ~prng ~cycles:0 5))
 
-(* The equivalence property behind the engine: over random netlists
-   (muxes, DFFs with mixed inits, multi-cycle sequences) and random
-   batch sizes, the packed engine — single-domain and sharded — agrees
-   bit-for-bit with the scalar oracle. *)
+(* The stepping API behind replay, recorded runs and test-time
+   profiling, against scalar Sim: random netlists (muxes, DFFs with
+   mixed inits), a random strip width, random per-lane input words
+   every cycle, and an unfused clock (settle, latch, settle — the
+   {!Sim.clock} edge).  After every edge, every net of every lane of
+   every word must equal the scalar simulator driven with that lane's
+   bits. *)
 let packed_equals_scalar =
   QCheck.Test.make ~name:"packed engine matches scalar Sim" ~count:60
     QCheck.(
-      triple
+      quad
         (list_of_size
            Gen.(int_range 1 40)
            (triple (int_bound 1000) (int_bound 1000) (int_bound 1000)))
-        (int_range 1 150)
-        (int_range 1 5))
-    (fun (script, n_vectors, cycles) ->
+        (int_range 0 3)
+        (int_range 1 5)
+        int)
+    (fun (script, wsel, cycles, seed) ->
+      let words = List.nth [ 1; 2; 4; 8 ] wsel in
       let nl = random_netlist script in
-      let prng = Prng.create ~seed:(n_vectors + (cycles * 1000)) in
-      let batch = Packed.batch ~prng ~cycles n_vectors in
-      let scalar = Packed.run_reference nl batch in
-      let packed = Packed.run (Packed.create nl) batch in
-      let sharded = Packed.run_sharded ~jobs:3 nl batch in
-      if not (Packed.equal_outputs packed scalar) then
-        QCheck.Test.fail_report "packed run disagrees with scalar oracle"
-      else if not (Packed.equal_outputs sharded scalar) then
-        QCheck.Test.fail_report "sharded run disagrees with scalar oracle"
-      else true)
+      let prng = Prng.create ~seed in
+      let names = Netlist.input_names nl in
+      (* stim.(c).(input).(w): the lane word driven at cycle c *)
+      let stim =
+        Array.init cycles (fun _ ->
+            Array.of_list
+              (List.map
+                 (fun _ ->
+                   Array.init words (fun _ ->
+                       Int64.to_int (Prng.next_int64 prng)))
+                 names))
+      in
+      let st = Packed.strip ~words nl in
+      let nets = Netlist.nets_in_order nl in
+      let strip_trace =
+        Array.init cycles (fun c ->
+            List.iteri
+              (fun i nm ->
+                Array.iteri
+                  (fun w v -> Packed.strip_set_input st nm w v)
+                  stim.(c).(i))
+              names;
+            Packed.strip_settle st;
+            Packed.strip_latch st;
+            Packed.strip_settle st;
+            Array.map
+              (fun net -> Array.init words (Packed.strip_peek st net))
+              nets)
+      in
+      let sim = Sim.create nl in
+      let bad = ref None in
+      for w = 0 to words - 1 do
+        for k = 0 to Packed.lanes - 1 do
+          Sim.reset sim;
+          for c = 0 to cycles - 1 do
+            List.iteri
+              (fun i nm ->
+                Sim.set_input sim nm ((stim.(c).(i).(w) lsr k) land 1 = 1))
+              names;
+            Sim.clock sim;
+            Array.iteri
+              (fun ni net ->
+                if
+                  !bad = None
+                  && (strip_trace.(c).(ni).(w) lsr k) land 1 = 1
+                     <> Sim.peek sim net
+                then bad := Some (w, k, c, Netlist.net_index net))
+              nets
+          done
+        done
+      done;
+      match !bad with
+      | None -> true
+      | Some (w, k, c, i) ->
+          QCheck.Test.fail_reportf
+            "S=%d: net %d differs from scalar Sim in word %d lane %d after \
+             edge %d"
+            words i w k (c + 1))
 
 (* ------------------------- strip engine --------------------------- *)
 
-(* The strip-width ladder: every S, single-domain, against the scalar
-   oracle — covering sequential carryover (multi-cycle, mixed DFF inits)
-   and partially-filled final strips (n_vectors rarely a multiple of
-   S * lanes). *)
+(* The batch runner at every strip width, single-domain and sharded over
+   three domains, against the scalar oracle — covering sequential
+   carryover (multi-cycle, mixed DFF inits) and partially-filled final
+   strips (n_vectors rarely a multiple of S * lanes). *)
 let strips_equal_scalar =
   QCheck.Test.make ~name:"strip engine matches scalar Sim (S in {1,2,4,8})"
     ~count:30
@@ -578,92 +638,17 @@ let strips_equal_scalar =
       let batch = Packed.batch ~prng ~cycles n_vectors in
       let scalar = Packed.run_reference nl batch in
       List.for_all
-        (fun words ->
-          let strips = Packed.run_strips ~words nl batch in
+        (fun (words, jobs) ->
+          let strips = Packed.run_strips ~jobs ~words nl batch in
           Packed.equal_outputs strips scalar
           ||
           (ignore
              (QCheck.Test.fail_report
-                (Printf.sprintf "strip run (S=%d) disagrees with scalar oracle"
-                   words));
+                (Printf.sprintf
+                   "strip run (S=%d, jobs=%d) disagrees with scalar oracle"
+                   words jobs));
            false))
-        [ 1; 2; 4; 8 ])
-
-(* Event-driven mode, full-activity and low-activity stimulus, plus
-   sharded strip runs: all bit-identical to the oracle. *)
-let incremental_equals_scalar =
-  QCheck.Test.make
-    ~name:"event-driven strips match scalar Sim (full + low activity, sharded)"
-    ~count:30
-    QCheck.(
-      quad
-        (list_of_size
-           Gen.(int_range 1 40)
-           (triple (int_bound 1000) (int_bound 1000) (int_bound 1000)))
-        (int_range 1 400)
-        (int_range 1 6)
-        (int_range 0 2))
-    (fun (script, n_vectors, cycles, wsel) ->
-      let words = List.nth [ 2; 4; 8 ] wsel in
-      let nl = random_netlist script in
-      let prng = Prng.create ~seed:(n_vectors + (cycles * 31)) in
-      let full = Packed.batch ~prng ~cycles n_vectors in
-      let lazy_ = Packed.batch ~prng ~cycles ~activity:0.3 n_vectors in
-      let ok_full =
-        Packed.equal_outputs
-          (Packed.run_strips ~words ~incremental:true nl full)
-          (Packed.run_reference nl full)
-      in
-      let oracle_lazy = Packed.run_reference nl lazy_ in
-      let ok_lazy =
-        Packed.equal_outputs
-          (Packed.run_strips ~words ~incremental:true nl lazy_)
-          oracle_lazy
-        && Packed.equal_outputs
-             (Packed.run (Packed.create nl) lazy_)
-             oracle_lazy
-      in
-      let ok_sharded =
-        Packed.equal_outputs
-          (Packed.run_strips ~jobs:3 ~words ~incremental:true nl full)
-          (Packed.run_reference nl full)
-      in
-      if not ok_full then
-        QCheck.Test.fail_report "incremental strips disagree (activity 1.0)"
-      else if not ok_lazy then
-        QCheck.Test.fail_report "low-activity run disagrees with oracle"
-      else if not ok_sharded then
-        QCheck.Test.fail_report "sharded incremental strips disagree"
-      else true)
-
-(* Concurrent fault simulation: per-lane forced words over a shared
-   stimulus stream agree with running each lane through scalar Sim. *)
-let mutants_equal_reference =
-  QCheck.Test.make ~name:"mutant-lane packing matches per-lane scalar runs"
-    ~count:40
-    QCheck.(
-      quad
-        (list_of_size
-           Gen.(int_range 1 40)
-           (triple (int_bound 1000) (int_bound 1000) (int_bound 1000)))
-        (int_range 1 6)
-        (pair int int)
-        (int_range 0 3))
-    (fun (script, cycles, (wa, wb), which) ->
-      let nl = random_netlist script in
-      let forced =
-        match which with
-        | 0 -> []
-        | 1 -> [ ("a", wa) ]
-        | 2 -> [ ("b", wb) ]
-        | _ -> [ ("a", wa); ("b", wb) ]
-      in
-      let prng = Prng.create ~seed:(cycles + (which * 17)) in
-      let packed = Packed.run_mutants ~cycles ~prng ~forced nl in
-      let scalar = Packed.run_mutants_reference ~cycles ~prng ~forced nl in
-      Packed.equal_outputs packed scalar
-      || QCheck.Test.fail_report
-           "mutant-lane run disagrees with per-lane scalar runs")
+        [ (1, 1); (2, 1); (4, 1); (8, 1); (1, 3); (2, 3) ])
 
 (* Strip tapes are cached under (uid, words), separately from the scalar
    tape: a new width compiles (tape bytes grow), re-requesting a width
@@ -701,11 +686,7 @@ let test_strip_errors () =
   Netlist.output nl "o" (Netlist.not_ nl a);
   Alcotest.check_raises "bad width"
     (Invalid_argument "Packed.strip: words must be one of {1, 2, 4, 8} (got 3)")
-    (fun () -> ignore (Packed.strip ~words:3 nl));
-  let prng = Prng.create ~seed:1 in
-  Alcotest.check_raises "bad activity"
-    (Invalid_argument "Packed.batch: activity must be in (0, 1]") (fun () ->
-      ignore (Packed.batch ~prng ~activity:0.0 5))
+    (fun () -> ignore (Packed.strip ~words:3 nl))
 
 let test_verilog_module_name_override () =
   let nl = Netlist.create ~name:"x" in
@@ -771,8 +752,6 @@ let () =
             test_strip_tape_cache_keys;
           Alcotest.test_case "errors" `Quick test_strip_errors;
           QCheck_alcotest.to_alcotest strips_equal_scalar;
-          QCheck_alcotest.to_alcotest incremental_equals_scalar;
-          QCheck_alcotest.to_alcotest mutants_equal_reference;
         ] );
       ( "verilog",
         [

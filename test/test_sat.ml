@@ -227,16 +227,15 @@ let cnf_matches_packed =
       (match Solver.solve ~assumptions s with
       | Solver.Sat -> ()
       | _ -> QCheck.Test.fail_report "fully-driven cone must be Sat");
-      let sim = Packed.create nl in
-      Packed.reset sim;
-      Packed.set_input sim "a" (if va then 1 else 0);
-      Packed.set_input sim "b" (if vb then 1 else 0);
-      Packed.settle sim;
+      let sim = Packed.strip ~words:1 nl in
+      Packed.strip_set_input sim "a" 0 (if va then 1 else 0);
+      Packed.strip_set_input sim "b" 0 (if vb then 1 else 0);
+      Packed.strip_settle sim;
       Array.iter
         (fun net ->
           let v = Cnf.var frame net in
           if v <> 0 then begin
-            let want = Packed.peek_lane sim net 0 in
+            let want = Packed.strip_peek sim net 0 land 1 = 1 in
             if Solver.value s v <> want then
               QCheck.Test.fail_reportf "net %d: cnf=%b packed=%b"
                 (Netlist.net_index net) (Solver.value s v) want
@@ -490,16 +489,15 @@ let preprocessed_cnf_matches_packed =
       | Solver.Sat -> ()
       | _ -> QCheck.Test.fail_report "fully-driven cone must stay Sat");
       let model = Preprocess.extend pp ~n_vars (fun v -> Solver.value s v) in
-      let sim = Packed.create nl in
-      Packed.reset sim;
-      Packed.set_input sim "a" (if va then 1 else 0);
-      Packed.set_input sim "b" (if vb then 1 else 0);
-      Packed.settle sim;
+      let sim = Packed.strip ~words:1 nl in
+      Packed.strip_set_input sim "a" 0 (if va then 1 else 0);
+      Packed.strip_set_input sim "b" 0 (if vb then 1 else 0);
+      Packed.strip_settle sim;
       Array.iter
         (fun net ->
           let v = Cnf.var frame net in
           if v <> 0 then begin
-            let want = Packed.peek_lane sim net 0 in
+            let want = Packed.strip_peek sim net 0 land 1 = 1 in
             if model.(v) <> want then
               QCheck.Test.fail_reportf "net %d: reconstructed=%b packed=%b"
                 (Netlist.net_index net) model.(v) want

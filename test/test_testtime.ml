@@ -94,6 +94,45 @@ let test_detect_identical_is_silent () =
     (Logic_test.detect ~golden:pair.Harness.golden ~suspect:pair.Harness.golden
        vectors)
 
+(* Vectors are applied with one clock edge each, and what is read is the
+   post-edge state (Sim.clock's semantics): a difference that only a
+   register exposes after the edge must be seen, and N-detect counts
+   must equal a per-vector scalar walk on every net. *)
+let test_sequential_edge_semantics () =
+  let build name data =
+    let nl = Netlist.create ~name in
+    let a = Netlist.input nl "a" and b = Netlist.input nl "b" in
+    let q = Netlist.dff nl ~init:false (data nl a b) in
+    Netlist.output nl "o" (Netlist.xor_ nl q (Netlist.and_ nl a b));
+    Netlist.finalise nl;
+    nl
+  in
+  let golden = build "g" (fun _ a _ -> a) in
+  let suspect = build "s" (fun nl a b -> Netlist.and_ nl a b) in
+  let prng = Prng.create ~seed:9 in
+  let vectors = Logic_test.random_vectors ~prng golden 100 in
+  Alcotest.(check bool) "post-edge register difference detected" true
+    (Logic_test.detect ~golden ~suspect vectors);
+  let rare =
+    Array.to_list (Netlist.nets_in_order suspect)
+    |> List.concat_map (fun net -> [ (net, true); (net, false) ])
+  in
+  let sim = Thr_gates.Sim.create suspect in
+  let expected =
+    List.map
+      (fun (net, value) ->
+        List.length
+          (List.filter
+             (fun v ->
+               Thr_gates.Sim.reset sim;
+               Thr_gates.Sim.step sim v;
+               Thr_gates.Sim.peek sim net = value)
+             vectors))
+      rare
+  in
+  Alcotest.(check (list int)) "n-detect counts = scalar walk" expected
+    (Array.to_list (Logic_test.n_detect_count suspect rare vectors))
+
 (* --------------------------- side channel ------------------------- *)
 
 let test_toggles_positive () =
@@ -176,6 +215,8 @@ let () =
             test_detect_finds_obvious_trojan;
           Alcotest.test_case "misses rare trojan" `Quick test_detect_misses_rare_trojan;
           Alcotest.test_case "identical silent" `Quick test_detect_identical_is_silent;
+          Alcotest.test_case "sequential edge semantics" `Quick
+            test_sequential_edge_semantics;
         ] );
       ( "side_channel",
         [
